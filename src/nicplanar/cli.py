@@ -166,11 +166,12 @@ def _cmd_dual(args) -> int:
         doc["levels"] = {"per_node": list(levels.levels),
                          "marked": list(levels.marked)}
     except LevelExceedsTwo as exc:
+        levels = None
         doc["levels"] = None
         doc["level_error"] = str(exc)
         clean = False
     try:
-        account = quarter_sphere_accounting(dual)
+        account = quarter_sphere_accounting(dual, levels)
         doc["accounting"] = {
             "grand_total": _fraction(account.grand_total),
             "totals": [_fraction(t) for t in account.totals],

@@ -274,11 +274,6 @@ def trace_faces(emb: NicEmbedding) -> tuple[Face, ...]:
     return faces
 
 
-def kite_corners(emb: NicEmbedding, entry: CrossingEntry) -> tuple[int, int, int, int]:
-    """Corners of a crossing in rotation order around its dummy vertex."""
-    return tuple(emb.rotations[entry.dummy])  # type: ignore[return-value]
-
-
 # --- verification ---
 
 
@@ -382,24 +377,19 @@ def verify_nic(emb: NicEmbedding) -> VerificationReport:
     return VerificationReport(tuple(violations), checked)
 
 
-def verify_maximal_embedding(
-    emb: NicEmbedding, k5_catalog=None
-) -> VerificationReport:
+def verify_maximal_embedding(emb: NicEmbedding) -> VerificationReport:
     """Check the face structure required of maximal embeddings.
 
     Every crossing must sit inside a kite (its four incident faces are
     triangles), every face must be a triangle, and the generalized dual
-    must satisfy the adjacency rules.  With a ``k5_catalog`` (vertex sets
-    of K5 subgraphs) the pairwise sharing of crossed K5s is also checked.
-    Graphs on fewer than five vertices are reported as skipped since the
-    maximality structure is not defined for them.
+    must satisfy the adjacency rules.  Graphs on fewer than five vertices
+    are reported as skipped since the maximality structure is not
+    defined for them.
     """
     nic = verify_nic(emb)
     if not nic.ok:
         return nic
-    checked = nic.checked + (
-        "kite-faces", "all-triangles", "dual-rules",
-    ) + (("k5-three-sharing",) if k5_catalog is not None else ())
+    checked = nic.checked + ("kite-faces", "all-triangles", "dual-rules")
     if emb.base.n < 5:
         return VerificationReport((), checked,
                                   skipped="maximality structure needs n >= 5")
@@ -439,21 +429,6 @@ def verify_maximal_embedding(
         violations.append(Violation("dual-rules", f"dual construction failed: {exc}"))
     else:
         violations.extend(_dual.check_adjacency_rules(d).violations)
-
-    if k5_catalog is not None:
-        sets = [frozenset(s) for s in k5_catalog]
-        for entry in emb.registry:
-            first_hosts = [s for s in sets if set(entry.first) <= s]
-            second_hosts = [s for s in sets if set(entry.second) <= s]
-            for h1 in first_hosts:
-                for h2 in second_hosts:
-                    if h1 != h2 and len(h1 & h2) < 3:
-                        violations.append(Violation(
-                            "k5-three-sharing",
-                            f"K5s {sorted(h1)} and {sorted(h2)} cross at "
-                            f"{emb.dummy_label(entry.dummy)} but share "
-                            f"only {len(h1 & h2)} vertices",
-                        ))
 
     return VerificationReport(tuple(violations), checked)
 

@@ -9,7 +9,10 @@ standard graph6 encoding, including the extended length headers for
 
 from __future__ import annotations
 
+import re
+from binascii import b2a_base64
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .errors import (
     DuplicateEdge,
@@ -112,6 +115,12 @@ def _serialize_edge_list(g: Graph) -> bytes:
 # --- graph6 format ---
 
 _G6_HEADER = b">>graph6<<"
+_G6_ALPHABET = bytes(range(63, 127))
+_G6_NONZERO = re.compile(rb"[@-~]")  # every graph6 byte but "?", the zero sextet
+_B64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    _G6_ALPHABET,
+)
 
 
 def _parse_graph6(data: bytes) -> Graph:
@@ -153,20 +162,24 @@ def _parse_graph6(data: bytes) -> Graph:
             f"expected {nbytes} bit-vector bytes for n={n}, found {len(data) - pos}",
             base + pos,
         )
-    bits: list[int] = []
-    for i in range(pos, pos + nbytes):
-        value = byte_at(i)
-        bits.extend((value >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    if data.translate(None, _G6_ALPHABET):
+        for i in range(pos, len(data)):
+            byte_at(i)  # raises at the first byte outside the alphabet
+    if nbytes and (data[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
         raise ParseError("nonzero padding bits", base + len(data) - 1)
 
+    # Only the sextets holding a set bit are visited; bit k of the vector
+    # (most significant first) is the pair (u, v) with k = v(v-1)/2 + u.
     pairs: list[Edge] = []
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                pairs.append((u, v))
-            k += 1
+    for hit in _G6_NONZERO.finditer(data, pos):
+        i = hit.start()
+        value = data[i] - 63
+        first = 6 * (i - pos)
+        for j in range(6):
+            if value & (32 >> j):
+                k = first + j
+                v = (1 + isqrt(8 * k + 1)) // 2
+                pairs.append((k - v * (v - 1) // 2, v))
     return new_graph(n, pairs)
 
 
@@ -185,19 +198,15 @@ def _serialize_graph6(g: Graph) -> bytes:
             out.append(((n >> shift) & 63) + 63)
     else:
         raise GraphError(f"graph6 cannot encode n={n}")
-    group = 0
-    count = 0
-    es = g.edge_set
-    for v in range(1, n):
-        for u in range(v):
-            group = (group << 1) | ((u, v) in es)
-            count += 1
-            if count == 6:
-                out.append(group + 63)
-                group = 0
-                count = 0
-    if count:
-        out.append((group << (6 - count)) + 63)
+    # Set each edge's bit in a buffer of whole 24-bit groups, then let
+    # base64 cut it into sextets and map them onto graph6's alphabet.
+    nbits = n * (n - 1) // 2
+    bits = bytearray((nbits + 23) // 24 * 3)
+    for u, v in g.edges:
+        k = v * (v - 1) // 2 + u
+        bits[k >> 3] |= 128 >> (k & 7)
+    sextets = b2a_base64(bits, newline=False).translate(_B64_TO_G6)
+    out += sextets[:(nbits + 5) // 6]
     return bytes(out)
 
 
@@ -253,15 +262,26 @@ def is_biconnected(g: Graph) -> bool:
         return True
     if g.n == 2:
         return g.m == 1
+    return _biconnected_without(g, -1)
+
+
+def _biconnected_without(g: Graph, skip: int) -> bool:
+    """Lowpoint test that ``g`` minus vertex ``skip`` (none if -1) is
+    biconnected; the graph left over must have at least three vertices."""
     adj = g.adjacency
     disc = [-1] * g.n
     low = [0] * g.n
     parent = [-1] * g.n
     cursor = [0] * g.n
-    disc[0] = low[0] = 0
+    root = 0
+    if skip >= 0:
+        # A discovery time no lowpoint reaches hides ``skip`` from the search.
+        disc[skip] = g.n
+        root = 1 if skip == 0 else 0
+    disc[root] = low[root] = 0
     clock = 1
     root_children = 0
-    stack = [0]
+    stack = [root]
     while stack:
         v = stack[-1]
         if cursor[v] < len(adj[v]):
@@ -271,7 +291,7 @@ def is_biconnected(g: Graph) -> bool:
                 parent[w] = v
                 disc[w] = low[w] = clock
                 clock += 1
-                if v == 0:
+                if v == root:
                     root_children += 1
                 stack.append(w)
             elif w != parent[v] and disc[w] < low[v]:
@@ -282,43 +302,19 @@ def is_biconnected(g: Graph) -> bool:
             if p != -1:
                 if low[v] < low[p]:
                     low[p] = low[v]
-                if p != 0 and low[v] >= disc[p]:
+                if p != root and low[v] >= disc[p]:
                     return False
-    if clock < g.n:
+    if clock < g.n - (skip >= 0):
         return False
     return root_children <= 1
-
-
-def _connected_avoiding(g: Graph, banned: tuple[int, int]) -> bool:
-    remaining = g.n - 2
-    start = next(v for v in range(g.n) if v not in banned)
-    seen = bytearray(g.n)
-    seen[banned[0]] = seen[banned[1]] = 1
-    seen[start] = 1
-    stack = [start]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in g.adjacency[v]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                stack.append(w)
-    return count == remaining
 
 
 def is_triconnected(g: Graph) -> bool:
     """True when no pair of vertices disconnects ``g``.
 
-    Plain definition-chasing: drop each vertex pair and test connectivity.
-    Quadratic in n, which is fine for the dual graphs this is meant for.
+    ``g`` is 3-connected exactly when ``g - v`` is biconnected for every
+    vertex v, so this runs one lowpoint search per vertex: O(n*m) time.
     """
     if g.n < 4:
         raise TooSmall("triconnectivity is only defined here for n >= 4")
-    if not is_biconnected(g):
-        return False
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not _connected_avoiding(g, (u, v)):
-                return False
-    return True
+    return all(_biconnected_without(g, v) for v in range(g.n))

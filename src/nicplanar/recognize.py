@@ -167,7 +167,10 @@ def recognize_optimal(g: Graph,
         raise AssertionError(
             "recognizer produced an embedding that fails verification:\n"
             + report.summary())
-    assert len(emb.registry) == m - (3 * n - 6)
+    if len(emb.registry) != m - (3 * n - 6):
+        raise AssertionError(
+            f"recognizer produced {len(emb.registry)} crossings, "
+            f"expected m - (3n - 6) = {m - (3 * n - 6)}")
     return RecognitionResult(emb, None, kites, diagnostics)
 
 

@@ -1,8 +1,9 @@
 """Brute-force oracles used to cross-check the library implementations.
 
 Everything here is deliberately naive and independent of the package
-internals: planarity via Kuratowski subdivision search, K4 listing via
-subset enumeration.  Sizes are capped accordingly.
+internals: planarity via Kuratowski subdivision search, 3-connectivity
+by deleting every vertex pair, K4 listing via subset enumeration.
+Sizes are capped accordingly.
 """
 
 from __future__ import annotations
@@ -169,6 +170,34 @@ def _has_subdivision_k33(adj, live) -> bool:
                 if _paths_realizable(adj, pairs, interior_of):
                     return True
     return False
+
+
+# --- connectivity ---
+
+
+def brute_triconnected(g: Graph) -> bool:
+    """3-connectivity by definition: ``g`` has at least four vertices and
+    stays connected after deleting any set of at most two of them."""
+    if g.n < 4:
+        return False
+    return all(
+        _connected_without(g, set(removed))
+        for size in range(3)
+        for removed in combinations(range(g.n), size)
+    )
+
+
+def _connected_without(g: Graph, removed: set[int]) -> bool:
+    start = next(v for v in range(g.n) if v not in removed)
+    seen = set(removed) | {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in g.adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
 
 
 # --- cliques ---

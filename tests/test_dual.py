@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,8 +45,9 @@ from nicplanar.generate import (
     gen_optimal,
     gen_sparsest,
 )
-from nicplanar.graph import new_graph
+from nicplanar.graph import is_triconnected, new_graph
 
+from bruteforce import brute_triconnected
 from flipcheck import flip_and_check
 
 HALF = Fraction(1, 2)
@@ -171,6 +174,25 @@ def test_family_dual_frozen_values(label, make, census, totals, grand):
     assert set(account.totals) == totals
     assert account.grand_total == grand
     assert account.grand_total == emb.base.m - 2 * len(emb.registry)
+
+
+@pytest.mark.parametrize("label,make,census,totals,grand",
+                         FAMILY_TABLE, ids=[row[0] for row in FAMILY_TABLE])
+def test_triconnectivity_matches_oracles_on_family_skeletons(
+        label, make, census, totals, grand):
+    skeleton = build_dual(make().embedding).skeleton()
+    # The skeleton itself, then about eight copies with one link removed.
+    # Kite nodes are never adjacent, so every link ends at a node of
+    # degree 3 and each removal leaves a separating pair.
+    variants = [skeleton] + [
+        new_graph(skeleton.n, skeleton.edges[:i] + skeleton.edges[i + 1:])
+        for i in range(0, skeleton.m, max(1, skeleton.m // 8))
+    ]
+    for g in variants:
+        h = nx.Graph(g.edges)
+        expected = nx.node_connectivity(h) >= 3
+        assert brute_triconnected(g) == expected
+        assert is_triconnected(g) == expected
 
 
 def test_bipartite_only_for_the_optimal_family():
@@ -351,6 +373,13 @@ class TestDualStructure:
         for emb in (gen_optimal(2).embedding, gen_sparsest(2).embedding,
                     gen_nested_k5(2).embedding, flip_fixture()):
             assert check_dual_structure(build_dual(emb)) == ()
+
+    def test_large_optimal_dual_is_checked_in_seconds(self):
+        dual = build_dual(gen_optimal(120).embedding)
+        assert len(dual.nodes) == 840
+        start = time.perf_counter()
+        assert check_dual_structure(dual) == ()
+        assert time.perf_counter() - start < 5.0
 
 
 # --- weight accounting ---

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import networkx as nx
 import pytest
 from hypothesis import given
 
-from bruteforce import graph_strategy
+from bruteforce import brute_triconnected, graph_strategy
 from nicplanar.errors import (
     DuplicateEdge,
     LoopEdge,
@@ -108,14 +109,22 @@ def test_graph6_long_form_round_trip():
 
 
 def test_graph6_parse_errors():
-    with pytest.raises(ParseError):
-        parse_graph(b"", "graph6")
-    with pytest.raises(ParseError):
-        parse_graph(b"D~", "graph6")  # truncated bit vector
-    with pytest.raises(ParseError):
-        parse_graph(b"D~{{", "graph6")  # trailing bytes
-    with pytest.raises(ParseError):
-        parse_graph(b"D\x07{", "graph6")  # byte outside alphabet
+    cases = [
+        (b"", "empty", 0),
+        (b">>graph6<<\n", "empty", 10),
+        (b"~?", "truncated", 2),
+        (b"D~", "expected 2 bit-vector bytes for n=5, found 1", 1),
+        (b"D~{{", "expected 2 bit-vector bytes for n=5, found 3", 1),
+        (b"\x07", "byte 0x7 outside", 0),
+        (b"D\x07{", "byte 0x7 outside", 1),
+        (b">>graph6<<D~\x80", "byte 0x80 outside", 12),
+        (b"D~|", "nonzero padding", 2),
+        (b">>graph6<<D~|\r\n", "nonzero padding", 12),
+    ]
+    for data, message, offset in cases:
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_graph(data, "graph6")
+        assert exc.value.offset == offset, data
 
 
 def test_unknown_format_rejected():
@@ -147,6 +156,27 @@ def test_graph6_long_form_matches_networkx(g):
     h.add_edges_from(g.edges)
     expected = nx.to_graph6_bytes(h, header=False).strip()
     assert serialize_graph(g, "graph6") == expected
+
+
+# n = 62 and 63 straddle the long header; the other sizes give every
+# value that the bit count n(n-1)/2 takes modulo 24, the writer's group.
+G6_SIZES = [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 14, 15, 17, 20, 23, 62, 63]
+
+
+@pytest.mark.parametrize("n", G6_SIZES)
+@pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 1.0])
+def test_graph6_round_trips_through_networkx(n, density):
+    rng = random.Random(n * 10 + int(density * 10))
+    edges = [e for e in combinations(range(n), 2) if rng.random() < density]
+    g = new_graph(n, edges)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    data = serialize_graph(g, "graph6")
+    assert data == nx.to_graph6_bytes(h, header=False).strip()
+    back = nx.from_graph6_bytes(data)
+    assert sorted(map(sorted, back.edges)) == sorted(map(list, g.edges))
+    assert parse_graph(nx.to_graph6_bytes(h), "graph6") == g
 
 
 # --- connectivity ---
@@ -202,4 +232,5 @@ def test_triconnected_matches_connectivity_oracle(g):
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
     expected = nx.is_connected(h) and nx.node_connectivity(h) >= 3
+    assert brute_triconnected(g) == expected
     assert is_triconnected(g) == expected
