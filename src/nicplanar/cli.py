@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -30,7 +31,7 @@ from .dual import (
 )
 from .embedding import (
     embedding_from_json,
-    embedding_to_json,
+    embedding_to_doc,
     verify_maximal_embedding,
     verify_nic,
 )
@@ -48,6 +49,9 @@ from .recognize import DEFAULT_STEP_CAP_MULTIPLIER, recognize_optimal
 from .render import dual_to_dot, embedding_to_dot, embedding_to_svg
 
 GRAPH_FORMATS = ("edge-list", "graph6", "json")
+
+#: reason carried by a batch row whose input could not be read or parsed
+INPUT_ERROR = "InputError"
 
 
 def _read(path: str) -> bytes:
@@ -91,15 +95,18 @@ def _report_doc(report) -> dict:
 
 def _recognize_worker(task):
     path, fmt, multiplier = task
-    g = _load_graph(path, fmt)
+    try:
+        g = _load_graph(path, fmt)
+    except (NicplanarError, OSError) as exc:
+        return {"input": path, "accepted": False, "reason": INPUT_ERROR,
+                "diagnostics": {"message": str(exc)}, "embedding": None}
     res = recognize_optimal(g, step_cap_multiplier=multiplier)
-    emb_json = embedding_to_json(res.embedding) if res.accepted else None
     return {
         "input": path,
         "accepted": res.accepted,
         "reason": res.reason,
         "diagnostics": res.diagnostics,
-        "embedding": json.loads(emb_json) if emb_json else None,
+        "embedding": embedding_to_doc(res.embedding) if res.accepted else None,
     }
 
 
@@ -112,14 +119,24 @@ def _cmd_recognize(args) -> int:
             _emit(_dumps(row["embedding"]), args.out)
             return 0
         message = row["diagnostics"].get("message", "")
+        if row["reason"] == INPUT_ERROR:
+            print(f"error: {message}", file=sys.stderr)
+            return 2
         print(f"{row['reason']}: {message}", file=sys.stderr)
         return 1
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_recognize_worker, tasks))
     else:
         rows = [_recognize_worker(t) for t in tasks]
     _emit("".join(_dumps(row) for row in rows), args.out)
+    bad = [row for row in rows if row["reason"] == INPUT_ERROR]
+    for row in bad:
+        print(f"error: {row['input']}: {row['diagnostics']['message']}",
+              file=sys.stderr)
+    if bad:
+        return 2
     return 0 if all(row["accepted"] for row in rows) else 1
 
 
@@ -242,7 +259,7 @@ def _cmd_generate(args) -> int:
         "n": g.n,
         "m": g.m,
         "graph6": serialize_graph(g, "graph6").decode("ascii"),
-        "embedding": json.loads(embedding_to_json(inst.embedding)),
+        "embedding": embedding_to_doc(inst.embedding),
     }
     _emit(_dumps(doc), args.out)
     if args.render:

@@ -455,7 +455,8 @@ def _vertex_name(emb_n: int, v: int) -> str | int:
     return f"x{v - emb_n}" if v >= emb_n else v
 
 
-def embedding_to_json(emb: NicEmbedding) -> str:
+def embedding_to_doc(emb: NicEmbedding) -> dict:
+    """The JSON interchange form as a dict, for callers that embed it."""
     n = emb.base.n
     rotations = {}
     for v in range(emb.planarization.n):
@@ -465,7 +466,7 @@ def embedding_to_json(emb: NicEmbedding) -> str:
             rot = rot[k:] + rot[:k]
         key = str(v) if v < n else f"x{v - n}"
         rotations[key] = [_vertex_name(n, w) for w in rot]
-    doc = {
+    return {
         "n": n,
         "edges": [list(e) for e in emb.base.edges],
         "crossings": [
@@ -474,7 +475,10 @@ def embedding_to_json(emb: NicEmbedding) -> str:
         ],
         "rotations": rotations,
     }
-    return json.dumps(doc, sort_keys=True, indent=None)
+
+
+def embedding_to_json(emb: NicEmbedding) -> str:
+    return json.dumps(embedding_to_doc(emb), sort_keys=True, indent=None)
 
 
 def _parse_vertex_name(token, n: int, c: int):

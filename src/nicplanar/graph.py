@@ -27,6 +27,10 @@ Edge = tuple[int, int]
 
 FORMATS = ("edge-list", "graph6")
 
+#: largest vertex count ``new_graph`` accepts; inputs state n, so it is
+#: checked before n adjacency lists are allocated
+MAX_VERTICES = 1 << 20
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -53,6 +57,8 @@ def new_graph(n: int, edges) -> Graph:
     """Build a graph, validating vertex range and simplicity."""
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
     normalized: list[Edge] = []
     seen: set[Edge] = set()
     for u, v in edges:

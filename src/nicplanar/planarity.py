@@ -1,9 +1,10 @@
 """Planarity testing with rotation system extraction.
 
-Thin contract over the left-right planarity test from networkx.  On
-planar input the returned rotation system is re-checked against Euler's
-formula before it leaves this module, so downstream face traversal can
-trust it blindly.
+Thin contract over the left-right planarity test from networkx.  The
+returned rotation system is not re-checked here.  The recognizer and
+the strict ``embed_with_crossings`` pass the embedding they build from
+it through ``verify_nic``, whose face walk (``trace_faces``) checks the
+neighbour permutations, connectivity and Euler's formula once.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .faces import face_walk
-from .graph import Edge, Graph, is_connected
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -21,42 +21,20 @@ class PlanarityResult:
     planar: bool
     #: cyclic neighbour order per vertex; None when not planar
     rotations: dict[int, tuple[int, ...]] | None
-    #: edges of a Kuratowski subdivision; None unless requested and non-planar
-    witness: frozenset[Edge] | None = None
 
 
-def test_planarity(g: Graph, want_witness: bool = False) -> PlanarityResult:
-    """Test ``g`` for planarity; on success return a rotation system.
-
-    A witness (the edge set of a K5 or K3,3 subdivision) is extracted
-    only when ``want_witness`` is set, since that pass costs extra.
-    """
+def test_planarity(g: Graph) -> PlanarityResult:
+    """Test ``g`` for planarity; on success return a rotation system."""
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
     planar, cert = nx.check_planarity(h, counterexample=False)
+    # networkx leaves its graphs in reference cycles; emptied here, their
+    # memory is not held until the cyclic collector next runs
+    h.clear()
     if not planar:
-        witness = None
-        if want_witness:
-            sub = nx.algorithms.planarity.check_planarity(h, counterexample=True)[1]
-            witness = frozenset(
-                (u, v) if u < v else (v, u) for u, v in sub.edges()
-            )
-        return PlanarityResult(False, None, witness)
+        return PlanarityResult(False, None)
     data = cert.get_data()
     rotations = {v: tuple(data[v]) for v in range(g.n)}
-    _euler_check(g, rotations)
+    cert.clear()
     return PlanarityResult(True, rotations)
-
-
-def _euler_check(g: Graph, rotations: dict[int, tuple[int, ...]]) -> None:
-    # the face-orbit count only equals the topological face count on
-    # connected graphs with at least one edge, so the check is scoped there
-    if g.n <= 1 or not is_connected(g):
-        return
-    faces = face_walk(rotations)
-    if g.n - g.m + len(faces) != 2:
-        raise AssertionError(
-            "planarity backend returned a rotation system that fails "
-            f"Euler's formula: n={g.n} m={g.m} f={len(faces)}"
-        )

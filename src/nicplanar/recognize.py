@@ -15,7 +15,9 @@ no other K4.  The recognizer exploits this in four passes:
    one selected K4;
 4. collapsing each selected K4 to a star around a fresh dummy vertex,
    planarity-testing that star graph, and re-expanding each dummy into
-   a crossing whose pair is read off the dummy's rotation.
+   a crossing of the input graph whose pair is read off the dummy's
+   rotation.  The closing ``verify_nic`` walks the faces once, and that
+   walk is the only Euler check the star graph's rotations get.
 
 All failures are verdicts, not exceptions: callers get a reason code
 and the counters the run produced.
@@ -25,13 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .embedding import (
-    CrossingEntry,
-    CrossingRegistry,
-    NicEmbedding,
-    normalize_crossing,
-    verify_nic,
-)
+from .embedding import NicEmbedding, build_planarization, verify_nic
 from .graph import Edge, Graph, is_biconnected, new_graph
 from .k4 import K4Catalog, Quad, bucket_by_edge, list_k4
 from .planarity import test_planarity
@@ -160,7 +156,7 @@ def recognize_optimal(g: Graph,
         return RecognitionResult(None, NONPLANAR_STAR_GRAPH, None, diagnostics)
 
     rotations = tuple(planarity.rotations[v] for v in range(star.n))
-    emb = reinsert_kites(star, rotations, kites, dummies)
+    emb = reinsert_kites(g, rotations, kites, dummies)
 
     report = verify_nic(emb)
     if not report.ok:
@@ -196,47 +192,40 @@ def build_star_graph(g: Graph, kites: KiteSet) -> tuple[Graph, dict[Quad, int]]:
     return new_graph(next_id, kept + star_edges), dummies
 
 
-def reinsert_kites(star: Graph, rotations, kites: KiteSet,
+def reinsert_kites(g: Graph, rotations, kites: KiteSet,
                    dummies: dict[Quad, int]) -> NicEmbedding:
-    """Expand each star dummy back into a kite crossing.
+    """Expand each star dummy back into a kite crossing of ``g``.
 
-    ``rotations`` must be a planar rotation system of ``star``.  The
-    dummy's rotation dictates the crossing: opposite neighbours form
-    the crossed pair, and the four remaining kite edges are spliced
-    into the corner rotations right next to the dummy entry, so each
-    wedge face at the dummy closes into a triangle.  The base graph is
-    reconstructed from the star graph, so an empty kite set returns
-    the planar input unchanged, with an empty registry.
+    ``rotations`` must be a planar rotation system of the star graph of
+    ``g`` and ``kites``.  The dummy's rotation dictates the crossing:
+    opposite neighbours form the crossed pair.  At each corner the dummy
+    entry expands to (next corner, dummy, previous corner), so each
+    wedge face at the dummy closes into a triangle.  An empty kite set
+    returns the planar input unchanged, with an empty registry.
     """
-    n_base = star.n - len(kites)
+    n = g.n
     order = sorted(kites)
-    if [dummies[q] for q in order] != list(range(n_base, star.n)):
+    if [dummies[q] for q in order] != list(range(n, n + len(order))):
         raise ValueError("dummy map does not number kites consecutively")
 
-    kite_edges = []
-    for quad in order:
-        a, b, c, d = quad
-        kite_edges.extend(((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)))
-    base_edges = [e for e in star.edges if e[1] < n_base] + kite_edges
-    base = new_graph(n_base, base_edges)
-
-    new_rotations = [list(rotations[v]) for v in range(star.n)]
-    entries = []
-    planar_kite_edges: list[Edge] = []
+    pairs = []
+    splice: dict[tuple[int, int], tuple[int, int, int]] = {}
     for quad in order:
         z = dummies[quad]
         ring = rotations[z]
-        entries.append(CrossingEntry(z, *normalize_crossing(
-            (ring[0], ring[2]), (ring[1], ring[3]))))
+        pairs.append(((ring[0], ring[2]), (ring[1], ring[3])))
         for i, v in enumerate(ring):
-            after = ring[(i + 1) % 4]
-            before = ring[(i - 1) % 4]
-            planar_kite_edges.append((v, after) if v < after else (after, v))
-            at = new_rotations[v].index(z)
-            new_rotations[v][at:at + 1] = [after, z, before]
+            splice[v, z] = (ring[(i + 1) % 4], z, ring[i - 1])
+    planarization, registry = build_planarization(g, pairs)
 
-    planarization = new_graph(
-        star.n, list(star.edges) + sorted(set(planar_kite_edges)))
-    return NicEmbedding(base, planarization,
-                        tuple(tuple(r) for r in new_rotations),
-                        CrossingRegistry(tuple(entries)))
+    new_rotations = []
+    for v in range(n):
+        rot: list[int] = []
+        for w in rotations[v]:
+            if w < n:
+                rot.append(w)
+            else:
+                rot.extend(splice[v, w])
+        new_rotations.append(tuple(rot))
+    new_rotations.extend(tuple(rotations[z]) for z in range(n, planarization.n))
+    return NicEmbedding(g, planarization, tuple(new_rotations), registry)

@@ -16,10 +16,13 @@ from types import SimpleNamespace
 
 import pytest
 
+import nicplanar.cli as cli
+import nicplanar.graph as graph_module
 from nicplanar.cli import main
-from nicplanar.embedding import embed_with_crossings, embedding_to_json
+from nicplanar.embedding import embed_with_crossings, embedding_to_doc, embedding_to_json
 from nicplanar.generate import gen_optimal, gen_sparsest
 from nicplanar.graph import new_graph, serialize_graph
+from nicplanar.recognize import recognize_optimal
 
 K5_EDGE_LIST = "5\n" + "\n".join(
     f"{u} {v}" for u in range(5) for v in range(u + 1, 5)) + "\n"
@@ -123,6 +126,70 @@ class TestRecognize:
             ["recognize", opt2_graph_file, "--format", "graph6"], capsys)
         assert first == second
 
+    def test_stdout_is_the_embedding_json(self, opt2_graph_file, capsys):
+        code, out, _ = run_cli(
+            ["recognize", opt2_graph_file, "--format", "graph6"], capsys)
+        assert code == 0
+        emb = recognize_optimal(gen_optimal(2).graph).embedding
+        assert out == embedding_to_json(emb) + "\n"
+
+    def test_batch_keeps_rows_past_a_bad_input(self, opt2_graph_file,
+                                               tmp_path, capsys):
+        garbled = tmp_path / "garbled.g6"
+        garbled.write_bytes(b"!!")
+        missing = str(tmp_path / "missing.g6")
+        code, out, err = run_cli(
+            ["recognize", opt2_graph_file, str(garbled), missing,
+             "--format", "graph6"], capsys)
+        assert code == 2
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [r["input"] for r in rows] == [opt2_graph_file, str(garbled),
+                                              missing]
+        assert rows[0]["accepted"] is True
+        for row in rows[1:]:
+            assert set(row) == {"input", "accepted", "reason", "diagnostics",
+                                "embedding"}
+            assert row["accepted"] is False
+            assert row["reason"] == "InputError"
+            assert row["embedding"] is None
+            assert set(row["diagnostics"]) == {"message"}
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith(f"error: {garbled}: ")
+        assert lines[1].startswith(f"error: {missing}: ")
+
+    @pytest.mark.parametrize("jobs, inputs, cpus, expected", [
+        (8, 3, 64, 3),
+        (8, 5, 2, 2),
+        (2, 5, None, None),
+        (2, 5, 1, None),
+    ])
+    def test_pool_size_is_clamped(self, opt2_graph_file, monkeypatch, capsys,
+                                  jobs, inputs, cpus, expected):
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, out, _ = run_cli(
+            ["recognize", *[opt2_graph_file] * inputs, "--format", "graph6",
+             "--jobs", str(jobs)], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == inputs
+        assert started == ([] if expected is None else [expected])
+
 
 class TestVerify:
     def test_passing_report(self, opt2_embedding_file, capsys):
@@ -206,6 +273,16 @@ class TestDensity:
         assert code == 0
         assert json.loads(out)["at_optimal"] is True
 
+    def test_oversized_vertex_count_is_an_input_error(self, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", 8)
+        path = tmp_path / "big.txt"
+        path.write_text("9\n")
+        code, out, err = run_cli(["density", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: vertex count 9 exceeds the limit 8")
+
 
 class TestGenerate:
     def test_optimal_document(self, capsys):
@@ -219,6 +296,12 @@ class TestGenerate:
         from nicplanar.graph import parse_graph
         g = parse_graph(doc["graph6"], "graph6")
         assert [list(e) for e in g.edges] == doc["embedding"]["edges"]
+
+    def test_embedding_field_is_the_embedding_doc(self, capsys):
+        code, out, _ = run_cli(["generate", "sparsest", "--k", "2"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["embedding"] == embedding_to_doc(gen_sparsest(2).embedding)
 
     def test_byte_identical_runs(self, capsys):
         first = run_cli(["generate", "nested-k5", "--k", "3"], capsys)

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import nicplanar.graph as graph_module
 from nicplanar.embedding import (
     NicEmbedding,
     build_planarization,
@@ -181,6 +182,13 @@ def test_json_parse_errors():
         embedding_from_json(good.replace('"x0"', '"x7"'))
     with pytest.raises(ParseError):
         embedding_from_json(good.replace('"rotations"', '"rot"'))
+
+
+def test_json_oversized_vertex_count_is_a_parse_error(monkeypatch):
+    text = embedding_to_json(kite_k4())
+    monkeypatch.setattr(graph_module, "MAX_VERTICES", 3)
+    with pytest.raises(ParseError, match="vertex count 4 exceeds the limit 3"):
+        embedding_from_json(text)
 
 
 def test_json_missing_rotation_detected():

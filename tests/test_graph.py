@@ -7,9 +7,11 @@ import networkx as nx
 import pytest
 from hypothesis import given
 
+import nicplanar.graph as graph_module
 from bruteforce import brute_triconnected, graph_strategy
 from nicplanar.errors import (
     DuplicateEdge,
+    GraphError,
     LoopEdge,
     ParseError,
     TooSmall,
@@ -59,6 +61,18 @@ def test_new_graph_rejects_out_of_range():
         new_graph(4, [(0, 4)])
     with pytest.raises(VertexOutOfRange):
         new_graph(4, [(-1, 2)])
+
+
+def test_vertex_count_limit(monkeypatch):
+    g6 = serialize_graph(new_graph(9, [(0, 1)]), "graph6")
+    monkeypatch.setattr(graph_module, "MAX_VERTICES", 8)
+    assert new_graph(8, []).n == 8
+    with pytest.raises(GraphError, match="vertex count 9 exceeds the limit 8"):
+        new_graph(9, [])
+    with pytest.raises(ParseError, match="vertex count 9 exceeds the limit 8"):
+        parse_graph(b"9\n0 1\n", "edge-list")
+    with pytest.raises(GraphError, match="vertex count 9 exceeds the limit 8"):
+        parse_graph(g6, "graph6")
 
 
 # --- edge-list format ---

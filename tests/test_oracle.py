@@ -173,6 +173,6 @@ class TestSoundness:
             planarity = planarity_check(star)
             assert planarity.planar
             rotations = tuple(planarity.rotations[v] for v in range(star.n))
-            emb = reinsert_kites(star, rotations, kites, dummies)
+            emb = reinsert_kites(g, rotations, kites, dummies)
             assert verify_nic(emb).ok
             assert len(emb.registry) == len(kites.quads)

@@ -34,17 +34,6 @@ def test_known_nonplanar_graphs():
         result = planarity_check(g)
         assert not result.planar
         assert result.rotations is None
-        assert result.witness is None  # not requested
-
-
-def test_witness_extraction():
-    g = complete(5)
-    result = planarity_check(g, want_witness=True)
-    assert not result.planar
-    assert result.witness
-    assert result.witness <= g.edge_set
-    # a K5 or K3,3 subdivision keeps at least 9 edges
-    assert len(result.witness) >= 9
 
 
 def test_rotation_system_face_counts():

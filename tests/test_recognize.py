@@ -272,7 +272,7 @@ class TestKiteReinsertion:
         g = complete_graph(4)
         kites = KiteSet(((0, 1, 2, 3),))
         star, dummies = build_star_graph(g, kites)
-        emb = reinsert_kites(star, solved_rotations(star), kites, dummies)
+        emb = reinsert_kites(g, solved_rotations(star), kites, dummies)
         assert emb.base.edges == g.edges
         assert len(emb.registry) == 1
         entry = emb.registry.entries[0]
@@ -298,4 +298,49 @@ class TestKiteReinsertion:
         star, _ = build_star_graph(g, kites)
         rotations = solved_rotations(star)
         with pytest.raises(ValueError, match="number kites consecutively"):
-            reinsert_kites(star, rotations, kites, {quads[0]: 9, quads[1]: 8})
+            reinsert_kites(g, rotations, kites, {quads[0]: 9, quads[1]: 8})
+
+
+def _named_faces(emb, relabel):
+    """Faces as canonical corner cycles, with the base vertices mapped
+    through ``relabel`` and each dummy named by its kite's corner set."""
+    kite_of = {entry.dummy: tuple(sorted(relabel[v] for v in entry.endpoints))
+               for entry in emb.registry}
+
+    def name(v):
+        return (1, kite_of[v]) if emb.is_dummy(v) else (0, relabel[v])
+
+    out = set()
+    for face in trace_faces(emb):
+        cyc = [name(v) for v in face.corners]
+        k = cyc.index(min(cyc))
+        out.add(tuple(cyc[k:] + cyc[:k]))
+    return out
+
+
+def _mirrored(faces):
+    out = set()
+    for cyc in faces:
+        rev = cyc[::-1]
+        k = rev.index(min(rev))
+        out.add(rev[k:] + rev[:k])
+    return out
+
+
+class TestUniqueEmbedding:
+    """The recognizer finds the drum's one embedding under any labeling."""
+
+    @pytest.mark.parametrize("k", list(range(2, 41)) + [300])
+    def test_relabeled_drum_faces_match_the_generator(self, k):
+        inst = gen_optimal(k)
+        g = inst.graph
+        perm = list(range(g.n))
+        random.Random(7919 * k).shuffle(perm)
+        relabeled = new_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        res = recognize_optimal(relabeled)
+        assert res.accepted
+        identity = list(range(g.n))
+        found = _named_faces(res.embedding, identity)
+        expected = _named_faces(inst.embedding, perm)
+        # one embedding up to the mirror image, which no labeling fixes
+        assert found in (expected, _mirrored(expected))
