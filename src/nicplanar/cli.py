@@ -126,8 +126,12 @@ def _cmd_recognize(args) -> int:
         return 1
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # about four chunks per worker, as multiprocessing.Pool.map picks:
+        # one task per round trip costs more than a small input's work
+        chunksize = -(-len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_recognize_worker, tasks))
+            rows = list(pool.map(_recognize_worker, tasks,
+                                 chunksize=chunksize))
     else:
         rows = [_recognize_worker(t) for t in tasks]
     _emit("".join(_dumps(row) for row in rows), args.out)

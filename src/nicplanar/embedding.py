@@ -155,6 +155,32 @@ def build_planarization(base: Graph, crossings) -> tuple[Graph, CrossingRegistry
     return planarization, CrossingRegistry(tuple(entries))
 
 
+def rotations_from_triangles(n: int, faces) -> tuple[tuple[int, ...], ...]:
+    """Rotation system whose faces are the given oriented triangles.
+
+    A face (a, b, c) is walked a -> b -> c -> a, so at each corner it
+    fixes one successor: leaving b after arriving from a goes to c.
+    Following the successors around a vertex yields its rotation.  A
+    vertex whose successors do not form one cycle over its neighbours
+    gets a rotation that is not a permutation of them, which the
+    ``verify_nic`` self-check then rejects.
+    """
+    succ: list[dict[int, int]] = [{} for _ in range(n)]
+    for a, b, c in faces:
+        succ[b][a] = c
+        succ[c][b] = a
+        succ[a][c] = b
+    rotations = []
+    for nxt in succ:
+        rot: list[int] = []
+        w = next(iter(nxt), None)
+        while w is not None and len(rot) < len(nxt):
+            rot.append(w)
+            w = nxt.get(w)
+        rotations.append(tuple(rot))
+    return tuple(rotations)
+
+
 def _alternates(rot, entry) -> bool:
     opposite_a = {rot[0], rot[2]}
     opposite_b = {rot[1], rot[3]}
@@ -511,6 +537,8 @@ def embedding_from_json(text: str | bytes) -> NicEmbedding:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     for key in ("n", "edges", "crossings", "rotations"):
@@ -524,6 +552,8 @@ def embedding_from_json(text: str | bytes) -> NicEmbedding:
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad edge list: {exc}") from exc
 
+    if not isinstance(doc["crossings"], list):
+        raise ParseError("'crossings' must be an array")
     pairs = []
     for item in doc["crossings"]:
         if not isinstance(item, dict) or "pair" not in item:

@@ -24,10 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import graph as _graph
 from .embedding import (
     NicEmbedding,
     build_planarization,
     embed_with_crossings,
+    rotations_from_triangles,
     verify_nic,
 )
 from .errors import InvalidParameters, KTooSmall
@@ -84,7 +86,7 @@ class _Builder:
             emb = embed_with_crossings(g, self.crossings)
         else:
             planarization, registry = build_planarization(g, self.crossings)
-            rotations = _rotations_from_triangles(planarization.n, faces)
+            rotations = rotations_from_triangles(planarization.n, faces)
             emb = NicEmbedding(g, planarization, rotations, registry)
             report = verify_nic(emb)
             if not report.ok:
@@ -93,30 +95,13 @@ class _Builder:
         return GeneratedInstance(kind, params, emb)
 
 
-def _rotations_from_triangles(n: int, faces) -> tuple[tuple[int, ...], ...]:
-    """Rotation system whose faces are the given oriented triangles.
-
-    A face (a, b, c) is walked a -> b -> c -> a, so at each corner it
-    fixes one successor: leaving b after arriving from a goes to c.
-    Following the successors around a vertex yields its rotation.  A
-    vertex whose successors do not form one cycle over its neighbours
-    gets a rotation that is not a permutation of them, which the
-    ``verify_nic`` self-check then rejects.
-    """
-    succ: list[dict[int, int]] = [{} for _ in range(n)]
-    for a, b, c in faces:
-        succ[b][a] = c
-        succ[c][b] = a
-        succ[a][c] = b
-    rotations = []
-    for nxt in succ:
-        rot: list[int] = []
-        w = next(iter(nxt), None)
-        while w is not None and len(rot) < len(nxt):
-            rot.append(w)
-            w = nxt.get(w)
-        rotations.append(tuple(rot))
-    return tuple(rotations)
+def _check_vertex_count(n: int) -> None:
+    """Refuse a family member larger than ``new_graph`` accepts, before
+    its face and edge lists are built."""
+    if n > _graph.MAX_VERTICES:
+        raise InvalidParameters(
+            f"the requested member has {n} vertices, above the limit "
+            f"{_graph.MAX_VERTICES}")
 
 
 def _kite_triangles(quad, dummy: int, forward: bool):
@@ -144,6 +129,7 @@ def gen_optimal(k: int) -> GeneratedInstance:
     """
     if k < 2:
         raise KTooSmall("the densest family starts at k = 2 (n = 12)")
+    _check_vertex_count(5 * k + 2)
     N, S = 0, 1
     p = lambda i: 2 + 5 * (i % k)
     q = lambda i: 3 + 5 * (i % k)
@@ -209,6 +195,7 @@ def gen_sparsest(k: int) -> GeneratedInstance:
     """
     if k < 1:
         raise KTooSmall("the sparsest family starts at k = 1 (n = 7)")
+    _check_vertex_count(5 * k + 2)
     if k == 1:
         return _sparsest_unit()
     if k == 2:
@@ -312,6 +299,7 @@ def gen_densest_intermediate(k: int, i: int) -> GeneratedInstance:
     """
     if i not in (1, 2, 3, 4):
         raise InvalidParameters(f"i must be 1..4, got {i}")
+    _check_vertex_count(5 * k + 2 + i)
     if i in (1, 3):
         if k < 2:
             raise KTooSmall("intermediate densest graphs need k >= 2")
@@ -407,6 +395,7 @@ def gen_nested_k5(k: int, variant: int = 0) -> GeneratedInstance:
     """
     if k < 2:
         raise KTooSmall("the nested carrier family starts at k = 2")
+    _check_vertex_count(15 * k - 12)
     total = 2 ** (k - 1)
     if not 0 <= variant < total:
         raise InvalidParameters(f"variant must lie in [0, {total}), got {variant}")

@@ -219,7 +219,10 @@ def _serialize_graph6(g: Graph) -> bytes:
 def parse_graph(data: bytes, fmt: str = "edge-list") -> Graph:
     """Decode ``data`` in the named format (``edge-list`` or ``graph6``)."""
     if isinstance(data, str):
-        data = data.encode("ascii")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise ParseError("input text is not ASCII", exc.start) from None
     if fmt == "edge-list":
         return _parse_edge_list(data)
     if fmt == "graph6":

@@ -1,17 +1,17 @@
 """Planarity testing with rotation system extraction.
 
-Thin contract over the left-right planarity test from networkx.  The
-returned rotation system is not re-checked here.  The recognizer and
-the strict ``embed_with_crossings`` pass the embedding they build from
-it through ``verify_nic``, whose face walk (``trace_faces``) checks the
-neighbour permutations, connectivity and Euler's formula once.
+Thin contract over the left-right planarity test from networkx, which
+is imported on the first call: recognizing an optimal graph and every
+rejection screen run without it.  The returned rotation system is not
+re-checked here.  The recognizer and the strict ``embed_with_crossings``
+pass the embedding they build from it through ``verify_nic``, whose
+face walk (``trace_faces``) checks the neighbour permutations,
+connectivity and Euler's formula once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .graph import Graph
 
@@ -25,6 +25,8 @@ class PlanarityResult:
 
 def test_planarity(g: Graph) -> PlanarityResult:
     """Test ``g`` for planarity; on success return a rotation system."""
+    import networkx as nx
+
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)

@@ -13,11 +13,16 @@ no other K4.  The recognizer exploits this in four passes:
 3. bucketing the K4s by edge, selecting every K4 that is the sole
    occupant of some bucket, then requiring every edge to meet exactly
    one selected K4;
-4. collapsing each selected K4 to a star around a fresh dummy vertex,
-   planarity-testing that star graph, and re-expanding each dummy into
-   a crossing of the input graph whose pair is read off the dummy's
-   rotation.  The closing ``verify_nic`` walks the faces once, and that
-   walk is the only Euler check the star graph's rotations get.
+4. reading the unique embedding off the kites (``embed_from_kites``):
+   in each kite the two edges with no common neighbour outside it are
+   the crossing pair, every other side closes one planar triangle with
+   its single outside apex, and one orientation spreads from kite to
+   kite across those triangles.  ``verify_nic`` certifies the result.
+   Only when the kites do not pin an embedding down, or the one read
+   off fails the check, does the recognizer collapse each kite to a
+   star around a fresh dummy vertex, planarity-test that star graph and
+   re-expand each dummy into a crossing whose pair is read off the
+   dummy's rotation; that embedding gets the same ``verify_nic``.
 
 All failures are verdicts, not exceptions: callers get a reason code
 and the counters the run produced.
@@ -27,7 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .embedding import NicEmbedding, build_planarization, verify_nic
+from .embedding import (
+    NicEmbedding,
+    build_planarization,
+    rotations_from_triangles,
+    verify_nic,
+)
 from .graph import Edge, Graph, is_biconnected, new_graph
 from .k4 import K4Catalog, Quad, bucket_by_edge, list_k4
 from .planarity import test_planarity
@@ -98,8 +108,10 @@ def recognize_optimal(g: Graph,
     """Decide whether ``g`` is NIC-planar with 5m = 18(n - 2), with witness.
 
     Accepted results carry an embedding that has passed ``verify_nic``
-    and whose crossing count equals m - (3n - 6).  Rejections carry a
-    reason code; no input raises.
+    and whose crossing count equals m - (3n - 6).  The embedding is read
+    off the kites when they pin it down, and found through the star
+    graph's planarity test otherwise.  Rejections carry a reason code;
+    no input raises.
     """
     n, m = g.n, g.m
     if n < 5:
@@ -149,20 +161,21 @@ def recognize_optimal(g: Graph,
         "essential_steps": catalog.steps,
     }
 
-    star, dummies = build_star_graph(g, kites)
-    planarity = test_planarity(star)
-    if not planarity.planar:
-        diagnostics["message"] = "star graph is not planar"
-        return RecognitionResult(None, NONPLANAR_STAR_GRAPH, None, diagnostics)
-
-    rotations = tuple(planarity.rotations[v] for v in range(star.n))
-    emb = reinsert_kites(g, rotations, kites, dummies)
-
-    report = verify_nic(emb)
-    if not report.ok:
-        raise AssertionError(
-            "recognizer produced an embedding that fails verification:\n"
-            + report.summary())
+    emb = embed_from_kites(g, kites)
+    if emb is None or not verify_nic(emb).ok:
+        star, dummies = build_star_graph(g, kites)
+        planarity = test_planarity(star)
+        if not planarity.planar:
+            diagnostics["message"] = "star graph is not planar"
+            return RecognitionResult(None, NONPLANAR_STAR_GRAPH, None,
+                                     diagnostics)
+        rotations = tuple(planarity.rotations[v] for v in range(star.n))
+        emb = reinsert_kites(g, rotations, kites, dummies)
+        report = verify_nic(emb)
+        if not report.ok:
+            raise AssertionError(
+                "recognizer produced an embedding that fails verification:\n"
+                + report.summary())
     if len(emb.registry) != m - (3 * n - 6):
         raise AssertionError(
             f"recognizer produced {len(emb.registry)} crossings, "
@@ -229,3 +242,100 @@ def reinsert_kites(g: Graph, rotations, kites: KiteSet,
         new_rotations.append(tuple(rot))
     new_rotations.extend(tuple(rotations[z]) for z in range(n, planarization.n))
     return NicEmbedding(g, planarization, tuple(new_rotations), registry)
+
+
+def embed_from_kites(g: Graph, kites: KiteSet) -> NicEmbedding | None:
+    """The embedding of ``g`` read straight off its kites, or None.
+
+    For each kite edge (u, v) the apexes are the common neighbours of u
+    and v outside the kite.  Two disjoint edges of each kite must have
+    no apex; they are its crossing pair.  Each of the other four, the
+    kite's sides, must have exactly one apex w, and the planar triangle
+    (u, v, w) closes the face beyond that side.  One orientation spreads
+    from kite to kite across these triangles: the face beyond side
+    x -> y walks y -> x, and each of its other two sides belongs to a
+    kite that must walk it the other way.  The smallest kite's cycle
+    runs from its smallest corner to the smaller of that corner's two
+    neighbours on the cycle, so the result depends only on the labels.
+    The four wedge triangles of each kite and the planar triangles then
+    give the rotation system.  Dummies are numbered from ``g.n`` in
+    sorted kite order.
+
+    Returns None when some edge has another apex count, a planar
+    triangle has a side that is no kite's side, or a kite receives two
+    orientations or none.  A returned embedding is not
+    verified here; ``verify_nic`` is the certificate.  The cost is
+    O(sum of min-degrees over the kite edges), O(m) on optimal graphs.
+    """
+    order = sorted(kites)
+    if not order:
+        return None
+    n = g.n
+    nbrs = [set(ns) for ns in g.adjacency]
+    cycles: list[tuple[int, int, int, int]] = []
+    apexes: list[tuple[int, int, int, int]] = []
+    #: directed kite side -> (kite index, +1 if it runs along the cycle)
+    side_of: dict[tuple[int, int], tuple[int, int]] = {}
+    for idx, quad in enumerate(order):
+        a, b, c, d = quad
+        apex_sets = {}
+        for u, v in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)):
+            outside = nbrs[u] & nbrs[v]
+            outside.difference_update(quad)
+            apex_sets[u, v] = outside
+        # the crossing pair is one of the three perfect matchings of the
+        # quad; the cycle around it starts at a towards its smaller neighbour
+        if not apex_sets[a, c] and not apex_sets[b, d]:
+            cycle = (a, b, c, d)
+        elif not apex_sets[a, b] and not apex_sets[c, d]:
+            cycle = (a, c, b, d)
+        elif not apex_sets[a, d] and not apex_sets[b, c]:
+            cycle = (a, b, d, c)
+        else:
+            return None
+        apex = []
+        for j in range(4):
+            x, y = cycle[j], cycle[(j + 1) % 4]
+            outside = apex_sets[(x, y) if x < y else (y, x)]
+            if len(outside) != 1:
+                return None
+            apex.append(next(iter(outside)))
+            side_of[x, y] = (idx, 1)
+            side_of[y, x] = (idx, -1)
+        cycles.append(cycle)
+        apexes.append(tuple(apex))
+
+    sign = [0] * len(order)
+    sign[0] = 1
+    queue = [0]
+    faces: list[tuple[int, int, int]] = []
+    for idx in queue:
+        z = n + idx
+        cycle, apex = cycles[idx], apexes[idx]
+        if sign[idx] < 0:
+            cycle = cycle[::-1]
+            apex = apex[2::-1] + apex[3:]
+        for j in range(4):
+            x, y, w = cycle[j], cycle[(j + 1) % 4], apex[j]
+            faces.append((x, y, z))
+            # the planar triangle (y, x, w) walks x -> w and w -> y, so
+            # the kites owning those sides walk w -> x and y -> w
+            for need in ((w, x), (y, w)):
+                owner = side_of.get(need)
+                if owner is None:
+                    return None
+                other, s = owner
+                if sign[other] == 0:
+                    sign[other] = s
+                    queue.append(other)
+                elif sign[other] != s:
+                    return None
+            if y < x and y < w:
+                faces.append((y, x, w))
+    if len(queue) != len(order):
+        return None
+
+    pairs = [((a, c), (b, d)) for a, b, c, d in cycles]
+    planarization, registry = build_planarization(g, pairs)
+    rotations = rotations_from_triangles(planarization.n, faces)
+    return NicEmbedding(g, planarization, rotations, registry)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
 
+import nicplanar
 import nicplanar.cli as cli
 import nicplanar.graph as graph_module
 from nicplanar.cli import main
@@ -163,10 +165,12 @@ class TestRecognize:
         (8, 5, 2, 2),
         (2, 5, None, None),
         (2, 5, 1, None),
+        (2, 20, 2, 2),
     ])
     def test_pool_size_is_clamped(self, opt2_graph_file, monkeypatch, capsys,
                                   jobs, inputs, cpus, expected):
         started = []
+        chunks = []
 
         class FakePool:
             def __init__(self, max_workers):
@@ -178,7 +182,8 @@ class TestRecognize:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
+            def map(self, fn, tasks, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, tasks)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
@@ -189,6 +194,9 @@ class TestRecognize:
         assert code == 0
         assert len(out.splitlines()) == inputs
         assert started == ([] if expected is None else [expected])
+        # about four chunks per worker
+        assert chunks == ([] if expected is None
+                          else [-(-inputs // (4 * expected))])
 
 
 class TestVerify:
@@ -218,6 +226,13 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["ok"] is False
         assert doc["violations"][0]["rule"] == "crossing-pairs-share-le-one"
+
+    def test_malformed_crossings_are_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 3, "edges": [], "crossings": 5, "rotations": {}}')
+        code, out, err = run_cli(["verify", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: 'crossings' must be an array\n"
 
 
 class TestDual:
@@ -320,6 +335,14 @@ class TestGenerate:
         assert out == ""
         assert "error:" in err
 
+    def test_oversized_member_is_an_input_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", 16)
+        code, out, err = run_cli(["generate", "optimal", "--k", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: the requested member has 17 vertices, "
+                       "above the limit 16\n")
+
     def test_render_file(self, tmp_path, capsys):
         target = tmp_path / "drawing.svg"
         code, _, _ = run_cli(
@@ -387,3 +410,36 @@ def test_console_script_round_trip(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["n"] == 17
+
+
+NO_NETWORKX_SCRIPT = """
+import json
+import sys
+from nicplanar.cli import main
+drum, out, *rejects = sys.argv[1:]
+codes = [main(["recognize", drum, "--out", out]),
+         main(["recognize", *rejects, "--out", out])]
+print(json.dumps({"codes": codes, "networkx": "networkx" in sys.modules}))
+"""
+
+
+def test_recognize_does_not_import_networkx(tmp_path, k5_file):
+    # an optimal drum is accepted and a batch of rejections is screened
+    # without the planarity test, so networkx is never imported
+    g = gen_optimal(4).graph
+    drum = tmp_path / "drum.txt"
+    drum.write_bytes(serialize_graph(g, "edge-list"))
+    missing = next((u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                   if (u, v) not in g.edge_set)
+    moved = tmp_path / "moved.txt"
+    moved.write_bytes(serialize_graph(
+        new_graph(g.n, list(g.edges[1:]) + [missing]), "edge-list"))
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(nicplanar.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", NO_NETWORKX_SCRIPT, str(drum),
+         str(tmp_path / "out.json"), k5_file, str(moved)],
+        capture_output=True, text=True, env=env, check=True)
+    assert json.loads(result.stdout) == {"codes": [0, 1], "networkx": False}

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import nicplanar.graph as graph_module
 from nicplanar.embedding import (
@@ -182,6 +185,13 @@ def test_json_parse_errors():
         embedding_from_json(good.replace('"x0"', '"x7"'))
     with pytest.raises(ParseError):
         embedding_from_json(good.replace('"rotations"', '"rot"'))
+    with pytest.raises(ParseError, match="'crossings' must be an array"):
+        embedding_from_json(good.replace('"crossings": [{"pair": [[0, 2], [1, 3]]}]',
+                                         '"crossings": 5'))
+    with pytest.raises(ParseError, match="invalid JSON"):
+        embedding_from_json(b'{"n": "\xff"}')
+    with pytest.raises(ParseError, match="invalid JSON"):
+        embedding_from_json("[" * 100000)
 
 
 def test_json_oversized_vertex_count_is_a_parse_error(monkeypatch):
@@ -192,8 +202,62 @@ def test_json_oversized_vertex_count_is_a_parse_error(monkeypatch):
 
 
 def test_json_missing_rotation_detected():
-    import json
     doc = json.loads(embedding_to_json(kite_k4()))
     del doc["rotations"]["2"]
     with pytest.raises(ParseError):
         embedding_from_json(json.dumps(doc))
+
+
+# --- fuzzing: every document parses or raises ParseError ---
+
+_tokens = (st.none() | st.booleans() | st.integers(-2, 6) |
+           st.floats(allow_nan=False, allow_infinity=False) |
+           st.sampled_from(["0", "3", "x0", "x1", "x", "xy", "7", ""]))
+_json_values = st.recursive(
+    _tokens,
+    lambda inner: (st.lists(inner, max_size=4) |
+                   st.dictionaries(st.sampled_from(["0", "1", "x0", "pair", "a"]),
+                                   inner, max_size=3)),
+    max_leaves=12,
+)
+_KITE_DOC = json.loads(embedding_to_json(kite_k4()))
+
+
+@st.composite
+def _mutated_kite_doc(draw):
+    doc = json.loads(json.dumps(_KITE_DOC))
+    key = draw(st.sampled_from(sorted(doc)))
+    if draw(st.booleans()):
+        doc[key] = draw(_json_values)
+    else:
+        inner = doc[key]
+        if isinstance(inner, dict) and inner:
+            inner[draw(st.sampled_from(sorted(inner)))] = draw(_json_values)
+        elif isinstance(inner, list) and inner:
+            inner[draw(st.integers(0, len(inner) - 1))] = draw(_json_values)
+        else:
+            doc[key] = draw(_json_values)
+    return json.dumps(doc)
+
+
+_structured_doc = st.fixed_dictionaries({
+    "n": st.integers(-1, 6) | _tokens,
+    "edges": st.lists(st.lists(st.integers(-1, 6) | _tokens, max_size=3),
+                      max_size=6) | _json_values,
+    "crossings": st.lists(st.fixed_dictionaries({"pair": _json_values}),
+                          max_size=2) | _json_values,
+    "rotations": st.dictionaries(st.sampled_from(["0", "1", "2", "x0", "9"]),
+                                 st.lists(_tokens, max_size=4), max_size=4)
+    | _json_values,
+}).map(json.dumps)
+
+
+@given(st.binary(max_size=32) | st.text(max_size=16) |
+       _json_values.map(json.dumps) | _mutated_kite_doc() | _structured_doc)
+def test_json_fuzz_parses_or_raises_parse_error(text):
+    try:
+        emb = embedding_from_json(text)
+    except ParseError:
+        return
+    assert isinstance(emb, NicEmbedding)
+    assert len(emb.rotations) == emb.planarization.n

@@ -2,6 +2,8 @@
 
 import pytest
 
+import nicplanar.generate as generate_module
+import nicplanar.graph as graph_module
 from nicplanar.embedding import (
     embed_with_crossings,
     embedding_to_json,
@@ -174,6 +176,30 @@ class TestNestedCarrierFamily:
             gen_nested_k5(1)
         with pytest.raises(InvalidParameters):
             gen_nested_k5(2, variant=2)
+
+
+# (generator, arguments, vertex count of the member)
+SIZED_MEMBERS = [
+    (gen_optimal, (3,), 17),
+    (gen_sparsest, (3,), 17),
+    (gen_densest_intermediate, (2, 1), 13),
+    (gen_densest_intermediate, (4, 2), 24),
+    (gen_densest_intermediate, (2, 3), 15),
+    (gen_densest_intermediate, (2, 4), 16),
+    (gen_nested_k5, (3,), 33),
+]
+
+
+class TestVertexLimit:
+    @pytest.mark.parametrize("gen, args, n", SIZED_MEMBERS)
+    def test_oversized_member_is_refused_before_building(
+            self, monkeypatch, gen, args, n):
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", n - 1)
+        # a generator that built anything before the check would fail here
+        monkeypatch.setattr(generate_module, "_Builder", None)
+        with pytest.raises(InvalidParameters,
+                           match=f"{n} vertices, above the limit {n - 1}"):
+            gen(*args)
 
 
 class TestRacCounterexample:

@@ -6,6 +6,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import nicplanar.graph as graph_module
 from bruteforce import brute_triconnected, graph_strategy
@@ -18,6 +19,7 @@ from nicplanar.errors import (
     VertexOutOfRange,
 )
 from nicplanar.graph import (
+    Graph,
     is_biconnected,
     is_connected,
     is_triconnected,
@@ -141,11 +143,54 @@ def test_graph6_parse_errors():
         assert exc.value.offset == offset, data
 
 
+def test_non_ascii_text_is_a_parse_error():
+    for fmt in ("edge-list", "graph6"):
+        with pytest.raises(ParseError) as exc:
+            parse_graph("3\n0 1\n\u00e9", fmt)
+        assert exc.value.offset == 6
+
+
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         parse_graph(b"D~{", "gml")
     with pytest.raises(ValueError):
         serialize_graph(complete(3), "gml")
+
+
+# --- fuzzing: every input parses or raises ParseError ---
+
+_small_int = st.integers(-3, 40)
+_edge_list_text = st.lists(
+    st.lists(_small_int.map(str) | st.sampled_from(["x", "1.5", "-", "0x3"]),
+             max_size=3).map(" ".join),
+    max_size=8,
+).map("\n".join)
+_graph6_bytes = st.tuples(
+    st.sampled_from([b"", b">>graph6<<", b"~", b"~~", b">>graph6<<~"]),
+    st.lists(st.integers(60, 128), max_size=24).map(bytes),
+    st.sampled_from([b"", b"\n", b"\r\n"]),
+).map(b"".join)
+
+
+def _parses_or_rejects(data, fmt):
+    try:
+        g = parse_graph(data, fmt)
+    except ParseError:
+        return
+    assert isinstance(g, Graph)
+    assert all(0 <= u < v < g.n for u, v in g.edges)
+    assert len(g.adjacency) == g.n
+
+
+@given(st.binary(max_size=48) | _edge_list_text.map(str.encode) |
+       _edge_list_text | st.text(max_size=12))
+def test_edge_list_fuzz_parses_or_raises_parse_error(data):
+    _parses_or_rejects(data, "edge-list")
+
+
+@given(st.binary(max_size=48) | _graph6_bytes | st.text(max_size=12))
+def test_graph6_fuzz_parses_or_raises_parse_error(data):
+    _parses_or_rejects(data, "graph6")
 
 
 @given(graph_strategy(min_n=1, max_n=12))

@@ -13,8 +13,17 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from nicplanar.embedding import embedding_to_json, trace_faces, verify_maximal_embedding, verify_nic
+import nicplanar.recognize as recognize_module
+from nicplanar.embedding import (
+    NicEmbedding,
+    embedding_to_json,
+    trace_faces,
+    verify_maximal_embedding,
+    verify_nic,
+)
 from nicplanar.generate import gen_optimal
 from nicplanar.graph import is_biconnected, new_graph
 from nicplanar.k4 import list_k4
@@ -27,6 +36,7 @@ from nicplanar.recognize import (
     STRUCTURALLY_INVALID,
     KiteSet,
     build_star_graph,
+    embed_from_kites,
     recognize_optimal,
     reinsert_kites,
 )
@@ -202,6 +212,10 @@ class TestNonplanarStarGraph:
         assert is_biconnected(g)
         assert sorted(list_k4(g).quads) == K33_PATTERN_BLOCKS
 
+    def test_kites_pin_no_embedding(self):
+        g = self.make()
+        assert embed_from_kites(g, KiteSet(tuple(K33_PATTERN_BLOCKS))) is None
+
     def test_rejected_for_nonplanarity(self):
         res = recognize_optimal(self.make())
         assert not res.accepted
@@ -327,20 +341,111 @@ def _mirrored(faces):
     return out
 
 
+def relabeled_drum(k, seed):
+    """The k-column drum under a seeded vertex permutation, with its
+    edges listed in a seeded order; returns the permutation too."""
+    g = gen_optimal(k).graph
+    rng = random.Random(seed)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return new_graph(g.n, edges), perm
+
+
+def star_graph_embedding(g, kites):
+    star, dummies = build_star_graph(g, kites)
+    return reinsert_kites(g, solved_rotations(star), kites, dummies)
+
+
 class TestUniqueEmbedding:
     """The recognizer finds the drum's one embedding under any labeling."""
 
     @pytest.mark.parametrize("k", list(range(2, 41)) + [300])
     def test_relabeled_drum_faces_match_the_generator(self, k):
         inst = gen_optimal(k)
-        g = inst.graph
-        perm = list(range(g.n))
-        random.Random(7919 * k).shuffle(perm)
-        relabeled = new_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        relabeled, perm = relabeled_drum(k, 7919 * k)
         res = recognize_optimal(relabeled)
         assert res.accepted
-        identity = list(range(g.n))
+        identity = list(range(relabeled.n))
         found = _named_faces(res.embedding, identity)
         expected = _named_faces(inst.embedding, perm)
         # one embedding up to the mirror image, which no labeling fixes
         assert found in (expected, _mirrored(expected))
+
+
+class TestEmbeddingFromKites:
+    """The embedding read off the kites against the star-graph path."""
+
+    @pytest.mark.parametrize("k", list(range(2, 41)) + [300])
+    def test_matches_the_star_graph_path(self, k):
+        g, _ = relabeled_drum(k, 104729 * k)
+        kites = recognize_optimal(g).kites
+        fast = embed_from_kites(g, kites)
+        slow = star_graph_embedding(g, kites)
+        assert fast is not None and verify_nic(fast).ok
+        assert fast.planarization == slow.planarization
+        assert fast.registry == slow.registry
+        identity = list(range(g.n))
+        found = _named_faces(fast, identity)
+        expected = _named_faces(slow, identity)
+        assert found in (expected, _mirrored(expected))
+
+    def test_orientation_follows_the_smallest_kite(self):
+        # the face between the smallest kite's smallest corner and the
+        # smaller of that corner's two neighbours on the kite's cycle is
+        # walked from the corner to that neighbour
+        g, _ = relabeled_drum(7, 31)
+        kites = recognize_optimal(g).kites
+        emb = embed_from_kites(g, kites)
+        entry = emb.registry.entries[0]
+        assert entry.dummy == g.n
+        corner = min(entry.endpoints)
+        across = entry.second if corner in entry.first else entry.first
+        wedge = (corner, min(across), entry.dummy)
+        walks = {face.corners[i:] + face.corners[:i]
+                 for face in trace_faces(emb) for i in range(len(face))}
+        assert wedge in walks
+        assert embed_from_kites(g, kites).rotations == emb.rotations
+
+    def test_empty_kite_set_pins_nothing(self):
+        g = new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        assert embed_from_kites(g, KiteSet(())) is None
+
+    def test_corrupted_fast_path_falls_back(self, monkeypatch):
+        g, _ = relabeled_drum(6, 11)
+        expected = recognize_optimal(g).diagnostics
+        fallbacks = []
+
+        def corrupted(graph, kites):
+            emb = embed_from_kites(graph, kites)
+            rotations = list(emb.rotations)
+            rotations[0] = rotations[0][::-1]
+            return NicEmbedding(emb.base, emb.planarization,
+                                tuple(rotations), emb.registry)
+
+        def counted(graph, kites):
+            fallbacks.append(len(kites))
+            return build_star_graph(graph, kites)
+
+        monkeypatch.setattr(recognize_module, "embed_from_kites", corrupted)
+        monkeypatch.setattr(recognize_module, "build_star_graph", counted)
+        res = recognize_optimal(g)
+        assert res.accepted
+        assert fallbacks == [18]
+        assert verify_nic(res.embedding).ok
+        assert res.diagnostics == expected
+
+    @given(st.integers(2, 12), st.integers(0, 2 ** 32 - 1))
+    def test_relabeled_drums_take_the_fast_path(self, k, seed):
+        g, _ = relabeled_drum(k, seed)
+
+        def refuse(*args):
+            raise AssertionError("the star-graph path ran")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recognize_module, "build_star_graph", refuse)
+            mp.setattr(recognize_module, "test_planarity", refuse)
+            res = recognize_optimal(g)
+        assert res.accepted and res.reason != NONPLANAR_STAR_GRAPH
+        assert len(res.embedding.registry) == 3 * k
