@@ -157,10 +157,6 @@ def _cmd_verify(args) -> int:
 # --- dual ---
 
 
-def _fraction(value) -> str:
-    return str(value)
-
-
 def _cmd_dual(args) -> int:
     emb = embedding_from_json(_read(args.input))
     dual = build_dual(emb)
@@ -194,13 +190,13 @@ def _cmd_dual(args) -> int:
     try:
         account = quarter_sphere_accounting(dual, levels)
         doc["accounting"] = {
-            "grand_total": _fraction(account.grand_total),
-            "totals": [_fraction(t) for t in account.totals],
+            "grand_total": str(account.grand_total),
+            "totals": [str(t) for t in account.totals],
             "quarters": [
                 [{"face": list(dual.faces[q.face].corners),
-                  "triangle_fraction": _fraction(q.triangle_fraction),
-                  "tetrahedron_fraction": _fraction(q.tetrahedron_fraction),
-                  "planar_edges": _fraction(q.planar_edges)}
+                  "triangle_fraction": str(q.triangle_fraction),
+                  "tetrahedron_fraction": str(q.tetrahedron_fraction),
+                  "planar_edges": str(q.planar_edges)}
                  for q in row]
                 for row in account.quarters
             ],

@@ -9,12 +9,22 @@ share; edges interior to a group (crossing star edges, tetrahedron
 center edges) stay inside their node.
 
 On valid maximal embeddings the dual is simple, planar and
-3-connected, and its adjacency obeys five local rules (no two kite
-nodes touch; tetrahedron nodes touch only kite nodes and marked
-triangle nodes; every tetrahedron node is marked; adjacent unmarked
-triangle nodes share a tetrahedral edge; no triangle node has two
-unmarked triangle neighbours).  ``check_adjacency_rules`` reports
-violations instead of raising, so verifiers can collect them.
+3-connected.  Planarity holds by construction: the links are the dual
+edges of a planarization whose faces ``trace_faces`` has already found
+spherical, and each node's face group is connected in that plane dual,
+so the dual is one of its contractions.  ``check_dual_structure``
+therefore checks only simplicity and 3-connectivity.
+
+The adjacency obeys five local rules (no two kite nodes touch;
+tetrahedron nodes touch only kite nodes and marked triangle nodes;
+every tetrahedron node is marked; adjacent unmarked triangle nodes
+share a tetrahedral edge; no triangle node has two unmarked triangle
+neighbours).  ``check_adjacency_rules`` reports violations instead of
+raising, so verifiers can collect them.
+
+A kite flip re-routes a tetrahedral edge through an adjacent triangle
+pair.  ``find_flips`` lists the pairs where one applies and
+``kite_flip`` performs it; both judge a pair by ``_flip_site``.
 
 The weight accounting assigns each non-kite node its planar-edge value
 (3/2 for a triangle node, 9/2 for a tetrahedron node) and splits it
@@ -26,6 +36,7 @@ sparsest, and globally it recovers the planar edge count m - 2c.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -35,6 +46,7 @@ from .embedding import (
     NicEmbedding,
     VerificationReport,
     Violation,
+    embed_with_crossings,
     trace_faces,
 )
 from .errors import (
@@ -43,7 +55,7 @@ from .errors import (
     NotMaximalEmbedding,
     PreconditionViolated,
 )
-from .graph import Edge, Graph, new_graph
+from .graph import Edge, Graph, is_triconnected, new_graph
 
 KITE = "kite"
 TETRAHEDRON = "tetrahedron"
@@ -78,9 +90,6 @@ class DualLink:
     via: Edge            # the planarization edge the two faces share
     face_a: int
     face_b: int
-
-    def other(self, node: int) -> int:
-        return self.b if node == self.a else self.a
 
 
 @dataclass(frozen=True)
@@ -156,7 +165,7 @@ def build_dual(emb: NicEmbedding) -> GeneralizedDual:
         around = incident[z]
         if len(around) != 4 or len(set(around)) != 4:
             raise NotMaximalEmbedding(
-                f"crossing {emb.dummy_label(z)} is not surrounded by four "
+                f"crossing {emb.vertex_name(z)} is not surrounded by four "
                 "distinct triangles")
         for f in around:
             if face_node[f] != -1:
@@ -287,7 +296,8 @@ def check_adjacency_rules(dual: GeneralizedDual,
             if not marked[link.b]:
                 unmarked_triangle_neighbours[link.a] += 1
             if not marked[link.a] and not marked[link.b]:
-                if not _is_tetrahedral_pair(dual, link, host):
+                apexes = _tetrahedral_apexes(dual, link)
+                if apexes is None or not host.has_edge(*apexes):
                     violations.append(Violation(
                         "dual-rule-unmarked-pair",
                         f"adjacent unmarked triangle nodes {link.a}, {link.b} "
@@ -328,16 +338,12 @@ def _tetrahedral_apexes(dual: GeneralizedDual,
     return (w, x) if w < x else (x, w)
 
 
-def _is_tetrahedral_pair(dual: GeneralizedDual, link: DualLink,
-                         host: Graph) -> bool:
-    apexes = _tetrahedral_apexes(dual, link)
-    return apexes is not None and host.has_edge(*apexes)
-
-
 def check_dual_structure(dual: GeneralizedDual) -> tuple[Violation, ...]:
-    """Simplicity, planarity and 3-connectivity of the dual graph."""
-    from .planarity import test_planarity
+    """Simplicity and 3-connectivity of the dual graph.
 
+    Planarity is not tested: every dual ``build_dual`` returns is planar,
+    being a contraction of the dual of a spherical planarization.
+    """
     violations: list[Violation] = []
     seen: dict[tuple[int, int], int] = {}
     for link in dual.links:
@@ -350,19 +356,14 @@ def check_dual_structure(dual: GeneralizedDual) -> tuple[Violation, ...]:
             f"parallel dual edges between node pairs {sorted(doubled)}",
         ))
     skeleton = dual.skeleton()
-    if not test_planarity(skeleton).planar:
-        violations.append(Violation("dual-planar", "dual graph is not planar"))
     if skeleton.n < 4:
         violations.append(Violation(
             "dual-triconnected",
             f"dual has only {skeleton.n} nodes, 3-connectivity undefined",
         ))
-    else:
-        from .graph import is_triconnected
-
-        if not is_triconnected(skeleton):
-            violations.append(Violation(
-                "dual-triconnected", "dual graph is not 3-connected"))
+    elif not is_triconnected(skeleton):
+        violations.append(Violation(
+            "dual-triconnected", "dual graph is not 3-connected"))
     return tuple(violations)
 
 
@@ -393,8 +394,6 @@ class LevelMap:
 
 def compute_levels(dual: GeneralizedDual) -> LevelMap:
     """Multi-source BFS from the kite nodes; levels are proven <= 2."""
-    from collections import deque
-
     kites = [i for i, n in enumerate(dual.nodes) if n.kind == KITE]
     if not kites:
         raise LevelExceedsTwo(
@@ -562,36 +561,44 @@ def find_flips(emb: NicEmbedding) -> tuple[FlipSite, ...]:
     """All face pairs satisfying the flip preconditions."""
     dual = build_dual(emb)
     adj = dual.neighbour_lists()
-    sites = []
-    for link in dual.links:
-        site = _flip_site(emb, dual, adj, link)
-        if site is not None:
-            sites.append(site)
+    sites = [site for link in dual.links
+             if isinstance(site := _flip_site(emb, dual, adj, link), FlipSite)]
     return tuple(sorted(sites, key=lambda s: (s.shared_edge, s.tetra_edge)))
 
 
 def _flip_site(emb: NicEmbedding, dual: GeneralizedDual,
-               adj: list[list[int]], link: DualLink) -> FlipSite | None:
+               adj: list[list[int]], link: DualLink,
+               entry_index: int | None = None) -> FlipSite | str:
+    """The flip site at ``link``, or the reason there is none.
+
+    With ``entry_index`` the tetrahedral edge must cross in that registry
+    entry; without it, any entry that holds the edge is taken.
+    """
     nodes = dual.nodes
-    if nodes[link.a].kind != TRIANGLE or nodes[link.b].kind != TRIANGLE:
-        return None
+    for side in (link.a, link.b):
+        if nodes[side].kind != TRIANGLE:
+            return (f"face {dual.node_identity(side)} belongs to a "
+                    f"{nodes[side].kind} node, not a plain triangle")
     apexes = _tetrahedral_apexes(dual, link)
     if apexes is None or not emb.base.has_edge(*apexes):
-        return None
-    entry_index = None
-    for i, entry in enumerate(emb.registry):
-        if apexes in entry.pair:
-            entry_index = i
-            break
+        return ("the pair is not tetrahedral: its apexes are not adjacent "
+                "in the base graph")
     if entry_index is None:
-        return None
-    # the faces may be marked only by the kite being rewired
+        entry_index = next((i for i, entry in enumerate(emb.registry)
+                            if apexes in entry.pair), None)
+        if entry_index is None:
+            return f"tetrahedral edge {apexes} is not a crossing edge"
     entry = emb.registry.entries[entry_index]
+    corners = tuple(sorted(entry.endpoints))
+    if apexes not in entry.pair:
+        return (f"tetrahedral edge {apexes} is not a crossing edge of the "
+                f"kite on {corners}")
+    # the faces may be marked only by the kite being rewired
     for tri in (link.a, link.b):
         for other in adj[tri]:
             if nodes[other].kind == KITE and nodes[other].anchor != entry.dummy:
-                return None
-    corners = tuple(sorted(entry.endpoints))
+                return (f"face {dual.node_identity(tri)} is marked by a kite "
+                        "other than the one being flipped")
     pair = (
         tuple(sorted(dual.faces[link.face_a].corner_set())),
         tuple(sorted(dual.faces[link.face_b].corner_set())),
@@ -607,56 +614,28 @@ def kite_flip(emb: NicEmbedding, kite: Iterable[int],
     be included or left out); ``pair`` names two triangle faces by
     their corner sets.  The faces must be adjacent, their apexes w, x
     must span a crossing edge of the named kite, and no other kite may
-    touch them.  The crossing's partner edge becomes planar and w-x
-    crosses the pair's shared edge instead; the surroundings
-    re-triangulate, so the result is again maximal.  Applying the flip
-    at the new kite's own tetrahedral pair undoes it.
+    touch them; these are the preconditions ``find_flips`` lists sites
+    by.  The crossing's partner edge becomes planar and w-x crosses the
+    pair's shared edge instead; the surroundings re-triangulate, so the
+    result is again maximal.  Applying the flip at the new kite's own
+    tetrahedral pair undoes it.
     """
     dual = build_dual(emb)
     entry_index = _resolve_kite(emb, set(kite))
-    want = tuple(sorted(frozenset(p) for p in pair))
-    link = None
-    for cand in dual.links:
-        have = tuple(sorted((
-            dual.faces[cand.face_a].corner_set(),
-            dual.faces[cand.face_b].corner_set(),
-        )))
-        if have == want:
-            link = cand
-            break
+    want = frozenset(frozenset(p) for p in pair)
+    link = next((cand for cand in dual.links
+                 if want == {dual.faces[cand.face_a].corner_set(),
+                             dual.faces[cand.face_b].corner_set()}), None)
     if link is None:
+        named = tuple(sorted(tuple(sorted(p)) for p in want))
         raise PreconditionViolated(
-            f"no two adjacent faces have corner sets {want}")
-    nodes = dual.nodes
-    for side in (link.a, link.b):
-        if nodes[side].kind != TRIANGLE:
-            raise PreconditionViolated(
-                f"face {dual.node_identity(side)} belongs to a "
-                f"{nodes[side].kind} node, not a plain triangle")
-    apexes = _tetrahedral_apexes(dual, link)
-    if apexes is None or not emb.base.has_edge(*apexes):
-        raise PreconditionViolated(
-            "the pair is not tetrahedral: its apexes are not adjacent "
-            "in the base graph")
-    entry = emb.registry.entries[entry_index]
-    if apexes not in entry.pair:
-        raise PreconditionViolated(
-            f"tetrahedral edge {apexes} is not a crossing edge of the "
-            f"kite on {tuple(sorted(entry.endpoints))}")
-    adj = dual.neighbour_lists()
-    for tri in (link.a, link.b):
-        for other in adj[tri]:
-            if nodes[other].kind == KITE and nodes[other].anchor != entry.dummy:
-                raise PreconditionViolated(
-                    f"face {dual.node_identity(tri)} is marked by a kite "
-                    "other than the one being flipped")
-
+            f"no two adjacent faces have corner sets {named}")
+    site = _flip_site(emb, dual, dual.neighbour_lists(), link, entry_index)
+    if isinstance(site, str):
+        raise PreconditionViolated(site)
     pairs = list(emb.registry.pairs())
-    wx = apexes
-    uv = link.via
+    wx, uv = site.tetra_edge, site.shared_edge
     pairs[entry_index] = (wx, uv) if wx < uv else (uv, wx)
-    from .embedding import embed_with_crossings
-
     return embed_with_crossings(emb.base, pairs)
 
 

@@ -3,7 +3,8 @@
 A :class:`NicEmbedding` couples the abstract graph with a crossing
 registry and a rotation system of its planarization.  Each crossing is
 replaced by a degree-4 dummy vertex; dummy ``i`` gets planarization id
-``base.n + i`` and serializes as ``"x<i>"``.
+``base.n + i`` and is named ``"x<i>"`` (``NicEmbedding.vertex_name``) in
+JSON, DOT and messages.
 
 ``verify_nic`` checks the defining conditions (each edge crossed at most
 once, two crossing pairs share at most one endpoint) plus structural
@@ -17,9 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import NonSphericalEmbedding, ParseError
+from .errors import NonSphericalEmbedding, NotMaximalEmbedding, ParseError
 from .faces import face_walk
-from .graph import Edge, Graph, new_graph
+from .graph import Edge, Graph, is_connected, new_graph
 from .planarity import test_planarity
 
 Crossing = tuple[Edge, Edge]
@@ -82,8 +83,10 @@ class NicEmbedding:
     def is_dummy(self, v: int) -> bool:
         return v >= self.base.n
 
-    def dummy_label(self, v: int) -> str:
-        return f"x{v - self.base.n}"
+    def vertex_name(self, v: int) -> str:
+        """``str(v)`` for a base vertex, ``"x<i>"`` for dummy ``i``."""
+        n = self.base.n
+        return f"x{v - n}" if v >= n else str(v)
 
 
 @dataclass(frozen=True)
@@ -280,8 +283,6 @@ def trace_faces(emb: NicEmbedding) -> tuple[Face, ...]:
                 f"rotation of vertex {v} is not a permutation of its neighbours"
             )
         rotations[v] = rot
-    from .graph import is_connected
-
     if g.n > 1 and not is_connected(g):
         raise NonSphericalEmbedding("planarization is disconnected")
     try:
@@ -323,7 +324,7 @@ def verify_nic(emb: NicEmbedding) -> VerificationReport:
             if e not in base.edge_set:
                 violations.append(Violation(
                     "registry-edges-in-base",
-                    f"crossing at {emb.dummy_label(entry.dummy)} uses {e}, "
+                    f"crossing at {emb.vertex_name(entry.dummy)} uses {e}, "
                     "which is not an edge of the graph",
                 ))
 
@@ -391,7 +392,7 @@ def verify_nic(emb: NicEmbedding) -> VerificationReport:
         if len(rot) == 4 and not _alternates(rot, entry):
             violations.append(Violation(
                 "dummy-alternation",
-                f"rotation {rot} at {emb.dummy_label(entry.dummy)} does not "
+                f"rotation {rot} at {emb.vertex_name(entry.dummy)} does not "
                 f"alternate the crossed edges {entry.pair}",
             ))
 
@@ -434,7 +435,7 @@ def verify_maximal_embedding(emb: NicEmbedding) -> VerificationReport:
                 if len(face) != 3:
                     violations.append(Violation(
                         "kite-faces",
-                        f"crossing {emb.dummy_label(v)} lies on the "
+                        f"crossing {emb.vertex_name(v)} lies on the "
                         f"non-triangular face {face.corners}",
                     ))
                 by_dummy[v] = by_dummy.get(v, 0) + 1
@@ -442,12 +443,12 @@ def verify_maximal_embedding(emb: NicEmbedding) -> VerificationReport:
         if by_dummy.get(entry.dummy, 0) != 4:
             violations.append(Violation(
                 "kite-faces",
-                f"crossing {emb.dummy_label(entry.dummy)} is not surrounded "
+                f"crossing {emb.vertex_name(entry.dummy)} is not surrounded "
                 "by four faces",
             ))
 
+    # imported here: dual imports this module at load time
     from . import dual as _dual
-    from .errors import NotMaximalEmbedding
 
     try:
         d = _dual.build_dual(emb)
@@ -477,10 +478,6 @@ def planar_skeleton(emb: NicEmbedding) -> Graph:
 # --- JSON interchange ---
 
 
-def _vertex_name(emb_n: int, v: int) -> str | int:
-    return f"x{v - emb_n}" if v >= emb_n else v
-
-
 def embedding_to_doc(emb: NicEmbedding) -> dict:
     """The JSON interchange form as a dict, for callers that embed it."""
     n = emb.base.n
@@ -490,8 +487,8 @@ def embedding_to_doc(emb: NicEmbedding) -> dict:
         if rot:
             k = rot.index(min(rot))
             rot = rot[k:] + rot[:k]
-        key = str(v) if v < n else f"x{v - n}"
-        rotations[key] = [_vertex_name(n, w) for w in rot]
+        rotations[emb.vertex_name(v)] = [
+            w if w < n else emb.vertex_name(w) for w in rot]
     return {
         "n": n,
         "edges": [list(e) for e in emb.base.edges],
@@ -579,11 +576,9 @@ def embedding_from_json(text: str | bytes) -> NicEmbedding:
         if not isinstance(order, list):
             raise ParseError(f"rotation of {key!r} must be an array")
         rotations[v] = tuple(_parse_vertex_name(t, n, c) for t in order)
-    for v in range(planarization.n):
-        if rotations[v] is None:
-            if planarization.degree(v) == 0:
-                rotations[v] = ()
-            else:
-                name = str(v) if v < n else f"x{v - n}"
-                raise ParseError(f"missing rotation for vertex {name}")
-    return NicEmbedding(base, planarization, tuple(rotations), registry)
+    emb = NicEmbedding(base, planarization,
+                       tuple(rot or () for rot in rotations), registry)
+    for v, rot in enumerate(rotations):
+        if rot is None and planarization.degree(v):
+            raise ParseError(f"missing rotation for vertex {emb.vertex_name(v)}")
+    return emb

@@ -95,13 +95,18 @@ class _Builder:
         return GeneratedInstance(kind, params, emb)
 
 
-def _check_vertex_count(n: int) -> None:
+def _check_vertex_count(n: int, crossings: int) -> None:
     """Refuse a family member larger than ``new_graph`` accepts, before
-    its face and edge lists are built."""
-    if n > _graph.MAX_VERTICES:
+    its face and edge lists are built.  Its planarization, n vertices
+    plus one dummy per crossing, counts against the same limit."""
+    limit = _graph.MAX_VERTICES
+    if n > limit:
         raise InvalidParameters(
-            f"the requested member has {n} vertices, above the limit "
-            f"{_graph.MAX_VERTICES}")
+            f"the requested member has {n} vertices, above the limit {limit}")
+    if n + crossings > limit:
+        raise InvalidParameters(
+            f"the requested member's planarization has {n + crossings} "
+            f"vertices, above the limit {limit}")
 
 
 def _kite_triangles(quad, dummy: int, forward: bool):
@@ -129,7 +134,7 @@ def gen_optimal(k: int) -> GeneratedInstance:
     """
     if k < 2:
         raise KTooSmall("the densest family starts at k = 2 (n = 12)")
-    _check_vertex_count(5 * k + 2)
+    _check_vertex_count(5 * k + 2, 3 * k)
     N, S = 0, 1
     p = lambda i: 2 + 5 * (i % k)
     q = lambda i: 3 + 5 * (i % k)
@@ -195,7 +200,7 @@ def gen_sparsest(k: int) -> GeneratedInstance:
     """
     if k < 1:
         raise KTooSmall("the sparsest family starts at k = 1 (n = 7)")
-    _check_vertex_count(5 * k + 2)
+    _check_vertex_count(5 * k + 2, k)
     if k == 1:
         return _sparsest_unit()
     if k == 2:
@@ -299,7 +304,8 @@ def gen_densest_intermediate(k: int, i: int) -> GeneratedInstance:
     """
     if i not in (1, 2, 3, 4):
         raise InvalidParameters(f"i must be 1..4, got {i}")
-    _check_vertex_count(5 * k + 2 + i)
+    # crossings: the drum's 3k, plus one for i = 2 and 3, two for i = 4
+    _check_vertex_count(5 * k + 2 + i, 3 * k + (0, 0, 1, 1, 2)[i])
     if i in (1, 3):
         if k < 2:
             raise KTooSmall("intermediate densest graphs need k >= 2")
@@ -395,7 +401,7 @@ def gen_nested_k5(k: int, variant: int = 0) -> GeneratedInstance:
     """
     if k < 2:
         raise KTooSmall("the nested carrier family starts at k = 2")
-    _check_vertex_count(15 * k - 12)
+    _check_vertex_count(15 * k - 12, 6 * (k - 1))
     total = 2 ** (k - 1)
     if not 0 <= variant < total:
         raise InvalidParameters(f"variant must lie in [0, {total}), got {variant}")
@@ -437,6 +443,7 @@ def gen_rac_counterexample() -> GeneratedInstance:
     NIC-planar and biconnected even after all crossing pairs are removed,
     while the kites themselves cannot be rerouted.
     """
+    _check_vertex_count(180, 6)
     inst = gen_optimal(2)
     g = inst.graph
     crossings = list(inst.embedding.registry.pairs())

@@ -7,9 +7,15 @@ members pairwise share at most one vertex, and accepts a subset when the
 collapsed star graph is planar.  For maximal NIC-planar inputs this
 search is complete, because every crossing of such a graph sits inside a
 kite on an induced K4.  The oracle does not decide NIC-planarity of
-arbitrary graphs, only the kite-coverable (maximal or optimal) cases;
-that is its entire purpose and the reason it is kept independent of
-:mod:`nicplanar.k4` and :mod:`nicplanar.recognize` internals.
+arbitrary graphs, only the kite-coverable (maximal or optimal) cases.
+
+What it shares with the recognizer is deliberately small: the
+``KiteSet`` and ``Quad`` containers, ``build_star_graph`` (collapsing a
+given kite set) and the planarity test.  The parts that can be wrong in
+a recognizer-specific way stay its own: the K4 catalogue (no
+:mod:`nicplanar.k4` listing), the choice of kite set (a search, not the
+sole-occupant selection rule) and the embedding (none is read off the
+kites).
 
 Costs grow quickly with the vertex count, so inputs are refused above a
 small size limit instead of silently taking hours.
@@ -89,7 +95,7 @@ def oracle_maximal_nic(g: Graph, *, optimal: bool = False,
     def accept(chosen: tuple[Quad, ...]) -> None:
         nonlocal examined
         examined += 1
-        star, _ = build_star_graph(g, KiteSet(chosen))
+        star = build_star_graph(g, KiteSet(chosen))
         if test_planarity(star).planar:
             found.append(tuple(sorted(chosen)))
 

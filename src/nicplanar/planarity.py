@@ -25,6 +25,7 @@ class PlanarityResult:
 
 def test_planarity(g: Graph) -> PlanarityResult:
     """Test ``g`` for planarity; on success return a rotation system."""
+    # imported here so that runs which never test planarity never load it
     import networkx as nx
 
     h = nx.Graph()

@@ -39,7 +39,7 @@ from .embedding import (
     verify_nic,
 )
 from .graph import Edge, Graph, is_biconnected, new_graph
-from .k4 import K4Catalog, Quad, bucket_by_edge, list_k4
+from .k4 import Quad, bucket_by_edge, list_k4
 from .planarity import test_planarity
 
 #: reason codes carried by rejected results
@@ -163,14 +163,14 @@ def recognize_optimal(g: Graph,
 
     emb = embed_from_kites(g, kites)
     if emb is None or not verify_nic(emb).ok:
-        star, dummies = build_star_graph(g, kites)
+        star = build_star_graph(g, kites)
         planarity = test_planarity(star)
         if not planarity.planar:
             diagnostics["message"] = "star graph is not planar"
             return RecognitionResult(None, NONPLANAR_STAR_GRAPH, None,
                                      diagnostics)
         rotations = tuple(planarity.rotations[v] for v in range(star.n))
-        emb = reinsert_kites(g, rotations, kites, dummies)
+        emb = reinsert_kites(g, rotations, kites)
         report = verify_nic(emb)
         if not report.ok:
             raise AssertionError(
@@ -183,48 +183,39 @@ def recognize_optimal(g: Graph,
     return RecognitionResult(emb, None, kites, diagnostics)
 
 
-def build_star_graph(g: Graph, kites: KiteSet) -> tuple[Graph, dict[Quad, int]]:
+def build_star_graph(g: Graph, kites: KiteSet) -> Graph:
     """Collapse each kite of ``g`` to a star around a fresh dummy vertex.
 
     All six edges inside a kite's vertex set are removed and a dummy
-    adjacent to its four corners is added.  Dummies are numbered from
-    ``g.n`` in sorted kite order.  Returns the star graph and the
-    kite -> dummy map.  With an empty kite set this is the identity.
+    adjacent to its four corners is added.  Dummy ``i`` is vertex
+    ``g.n + i`` for the ``i``-th kite in sorted order, the numbering
+    ``reinsert_kites`` and ``embed_from_kites`` use.  With an empty kite
+    set this is the identity.
     """
     removed: set[Edge] = set()
-    dummies: dict[Quad, int] = {}
     star_edges: list[Edge] = []
-    next_id = g.n
-    for quad in sorted(kites):
-        a, b, c, d = quad
+    for z, (a, b, c, d) in enumerate(sorted(kites), start=g.n):
         removed.update(((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)))
-        dummies[quad] = next_id
-        star_edges.extend((v, next_id) for v in quad)
-        next_id += 1
+        star_edges.extend(((a, z), (b, z), (c, z), (d, z)))
     kept = [e for e in g.edges if e not in removed]
-    return new_graph(next_id, kept + star_edges), dummies
+    return new_graph(g.n + len(kites), kept + star_edges)
 
 
-def reinsert_kites(g: Graph, rotations, kites: KiteSet,
-                   dummies: dict[Quad, int]) -> NicEmbedding:
+def reinsert_kites(g: Graph, rotations, kites: KiteSet) -> NicEmbedding:
     """Expand each star dummy back into a kite crossing of ``g``.
 
-    ``rotations`` must be a planar rotation system of the star graph of
-    ``g`` and ``kites``.  The dummy's rotation dictates the crossing:
+    ``rotations`` must be a planar rotation system of the star graph
+    that ``build_star_graph`` makes of ``g`` and ``kites``, so dummy
+    ``i`` is vertex ``g.n + i``.  The dummy's rotation dictates the crossing:
     opposite neighbours form the crossed pair.  At each corner the dummy
     entry expands to (next corner, dummy, previous corner), so each
     wedge face at the dummy closes into a triangle.  An empty kite set
     returns the planar input unchanged, with an empty registry.
     """
     n = g.n
-    order = sorted(kites)
-    if [dummies[q] for q in order] != list(range(n, n + len(order))):
-        raise ValueError("dummy map does not number kites consecutively")
-
     pairs = []
     splice: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for quad in order:
-        z = dummies[quad]
+    for z in range(n, n + len(kites)):
         ring = rotations[z]
         pairs.append(((ring[0], ring[2]), (ring[1], ring[3])))
         for i, v in enumerate(ring):

@@ -23,9 +23,8 @@ _DUAL_SHAPES = {
 
 _SWEEPS = 600
 
-
-def _dummy_name(emb: NicEmbedding, v: int) -> str:
-    return f"x{v - emb.base.n}" if emb.is_dummy(v) else str(v)
+#: width and height of the SVG canvas, in pixels
+_SVG_SIZE = 840
 
 
 def embedding_to_dot(emb: NicEmbedding) -> str:
@@ -34,14 +33,14 @@ def embedding_to_dot(emb: NicEmbedding) -> str:
     for v in range(emb.planarization.n):
         if emb.is_dummy(v):
             lines.append(
-                f'  {_dummy_name(emb, v)} [shape=square, width=0.12, '
+                f'  {emb.vertex_name(v)} [shape=square, width=0.12, '
                 'fixedsize=true, label=""];')
         else:
             lines.append(f"  {v} [shape=circle];")
     crossing = {v for v in range(emb.planarization.n) if emb.is_dummy(v)}
     for u, v in emb.planarization.edges:
         attr = " [color=red]" if u in crossing or v in crossing else ""
-        lines.append(f"  {_dummy_name(emb, u)} -- {_dummy_name(emb, v)}{attr};")
+        lines.append(f"  {emb.vertex_name(u)} -- {emb.vertex_name(v)}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -89,8 +88,9 @@ def _layout(emb: NicEmbedding) -> list[tuple[float, float]]:
     return pos
 
 
-def embedding_to_svg(emb: NicEmbedding, size: int = 840) -> str:
+def embedding_to_svg(emb: NicEmbedding) -> str:
     """Planarization as a standalone SVG document."""
+    size = _SVG_SIZE
     pos = _layout(emb)
     margin = 40.0
     scale = (size - 2 * margin) / 2.0

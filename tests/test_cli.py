@@ -443,3 +443,34 @@ def test_recognize_does_not_import_networkx(tmp_path, k5_file):
          str(tmp_path / "out.json"), k5_file, str(moved)],
         capture_output=True, text=True, env=env, check=True)
     assert json.loads(result.stdout) == {"codes": [0, 1], "networkx": False}
+
+
+NO_NETWORKX_ANALYSIS_SCRIPT = """
+import contextlib
+import io
+import json
+import sys
+from nicplanar.cli import main
+emb, = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes = [main(["generate", "optimal", "--k", "5"])]
+with open(emb, "w") as fh:
+    json.dump(json.loads(out.getvalue())["embedding"], fh)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes += [main(["verify", "--maximal", emb]), main(["dual", emb])]
+print(json.dumps({"codes": codes, "networkx": "networkx" in sys.modules}))
+"""
+
+
+def test_analysis_does_not_import_networkx(tmp_path):
+    # the drum's embedding is read off its faces, and the dual's planarity
+    # follows from its construction, so none of the three runs a planarity test
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(nicplanar.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", NO_NETWORKX_ANALYSIS_SCRIPT,
+         str(tmp_path / "drum.json")],
+        capture_output=True, text=True, env=env, check=True)
+    assert json.loads(result.stdout) == {"codes": [0, 0, 0], "networkx": False}

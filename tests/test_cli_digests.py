@@ -1,0 +1,108 @@
+"""Pinned CLI bytes: SHA-256 digests of stdout and stderr plus exit codes.
+
+A fixed command set covers ``generate`` (one member of each family),
+``verify``, ``verify --maximal``, ``dual`` (JSON and DOT), ``export``
+(DOT and SVG) and ``recognize`` (a relabeled drum, a rejection and a
+two-input batch).  A change meant to keep CLI output byte-identical must
+leave every digest as it is; a change that alters output on purpose
+updates the table and says why.  Commands run in-process through
+``main`` from a temporary working directory, so file names in the
+output are relative and stable.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+
+from nicplanar.cli import main
+from nicplanar.generate import gen_optimal
+from nicplanar.graph import new_graph, serialize_graph
+
+GENERATE = {
+    "optimal": ["optimal", "--k", "3"],
+    "sparsest": ["sparsest", "--k", "3"],
+    "intermediate": ["intermediate", "--k", "2", "--i", "3"],
+    "nested-k5": ["nested-k5", "--k", "2", "--variant", "1"],
+    "rac-counterexample": ["rac-counterexample"],
+}
+
+ANALYSE = {
+    "verify": ["verify", "nested.json"],
+    "verify --maximal": ["verify", "--maximal", "nested.json"],
+    "dual": ["dual", "nested.json"],
+    "dual --format dot": ["dual", "--format", "dot", "nested.json"],
+    "export": ["export", "nested.json"],
+    "export --format svg": ["export", "--format", "svg", "nested.json"],
+    "recognize drum": ["recognize", "drum.txt"],
+    "recognize rejection": ["recognize", "moved.txt"],
+    "recognize batch": ["recognize", "drum.txt", "moved.txt"],
+}
+
+#: command -> [exit code, stdout digest, stderr digest], first 16 hex digits
+PINNED = {
+    "generate optimal": [0, "d9a1f5fc1534f582", "e3b0c44298fc1c14"],
+    "generate sparsest": [0, "2e3ba6a02ba7a909", "e3b0c44298fc1c14"],
+    "generate intermediate": [0, "6ecd7b8ba6ea9613", "e3b0c44298fc1c14"],
+    "generate nested-k5": [0, "4ec0b2c06d4cd304", "e3b0c44298fc1c14"],
+    "generate rac-counterexample": [0, "fe617fe75f23f649", "e3b0c44298fc1c14"],
+    "verify": [0, "b22409f6aa9de667", "e3b0c44298fc1c14"],
+    "verify --maximal": [0, "b9981f8ea9d61cab", "e3b0c44298fc1c14"],
+    "dual": [0, "c9df206451cc1a39", "e3b0c44298fc1c14"],
+    "dual --format dot": [0, "095d742716b35006", "e3b0c44298fc1c14"],
+    "export": [0, "037e0eb654412cde", "e3b0c44298fc1c14"],
+    "export --format svg": [0, "98efed2c916affa1", "e3b0c44298fc1c14"],
+    "recognize drum": [0, "fdbf2858826a2d06", "e3b0c44298fc1c14"],
+    "recognize rejection": [1, "e3b0c44298fc1c14", "c637db0c53ab5b84"],
+    "recognize batch": [1, "9f3611a77110bdd2", "e3b0c44298fc1c14"],
+}
+
+
+def _digest(data: str) -> str:
+    return hashlib.sha256(data.encode("utf-8")).hexdigest()[:16]
+
+
+def _run(argv) -> tuple[list, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return [code, _digest(out.getvalue()), _digest(err.getvalue())], out.getvalue()
+
+
+def _write_inputs(nested_doc: dict) -> None:
+    with open("nested.json", "w", encoding="utf-8") as fh:
+        json.dump(nested_doc, fh, sort_keys=True)
+    # the four-column drum under the relabeling v -> 7v + 3 mod 22, its
+    # edges listed in descending order
+    g = gen_optimal(4).graph
+    relabel = [(7 * v + 3) % g.n for v in range(g.n)]
+    edges = sorted(((relabel[u], relabel[v]) for u, v in g.edges), reverse=True)
+    with open("drum.txt", "wb") as fh:
+        fh.write(serialize_graph(new_graph(g.n, edges), "edge-list"))
+    # the drum with its first edge moved onto its first missing pair
+    missing = next((u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                   if (u, v) not in g.edge_set)
+    with open("moved.txt", "wb") as fh:
+        fh.write(serialize_graph(
+            new_graph(g.n, list(g.edges[1:]) + [missing]), "edge-list"))
+
+
+def cli_digests() -> dict[str, list]:
+    """Run the command set in the current directory; command -> digests."""
+    table = {}
+    nested_doc = None
+    for family, args in GENERATE.items():
+        table[f"generate {family}"], stdout = _run(["generate", *args])
+        if family == "nested-k5":
+            nested_doc = json.loads(stdout)["embedding"]
+    _write_inputs(nested_doc)
+    for name, argv in ANALYSE.items():
+        table[name], _ = _run(argv)
+    return table
+
+
+def test_cli_bytes_match_the_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_digests() == PINNED

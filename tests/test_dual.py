@@ -181,6 +181,8 @@ def test_family_dual_frozen_values(label, make, census, totals, grand):
 def test_triconnectivity_matches_oracles_on_family_skeletons(
         label, make, census, totals, grand):
     skeleton = build_dual(make().embedding).skeleton()
+    # check_dual_structure derives planarity from the construction
+    assert nx.check_planarity(nx.Graph(skeleton.edges))[0]
     # The skeleton itself, then about eight copies with one link removed.
     # Kite nodes are never adjacent, so every link ends at a node of
     # degree 3 and each removal leaves a separating pair.
@@ -350,13 +352,6 @@ class TestDualStructure:
             (tri_face(0, 1, 2), tri_face(1, 2, 3)),
         )
         assert "dual-simple" in {v.rule for v in check_dual_structure(dual)}
-
-    def test_nonplanar_skeleton_is_reported(self):
-        nodes = tuple(DualNode(TRIANGLE, (), -1) for _ in range(5))
-        links = tuple(DualLink(a, b, (a, b), 0, 0)
-                      for a in range(5) for b in range(a + 1, 5))
-        dual = synthetic(nodes, links)
-        assert "dual-planar" in {v.rule for v in check_dual_structure(dual)}
 
     def test_low_connectivity_is_reported(self):
         nodes = tuple(DualNode(TRIANGLE, (), -1) for _ in range(4))
@@ -578,6 +573,37 @@ class TestKiteFlip:
         site = find_flips(emb)[0]
         flipped = kite_flip(emb, (2, 3, 16, 17, 23), site.pair)
         assert flipped.registry.pairs()[5] == ((0, 17), (2, 16))
+
+    @pytest.mark.parametrize("make", [
+        flip_fixture,
+        lambda: gen_nested_k5(2).embedding,
+        lambda: gen_nested_k5(3).embedding,
+    ], ids=["fixture", "nested-2", "nested-3"])
+    def test_flip_succeeds_exactly_at_listed_sites(self, make):
+        emb = make()
+        dual = build_dual(emb)
+        listed = {(site.kite, frozenset(site.pair)) for site in find_flips(emb)}
+        assert listed
+        flipped = set()
+        for entry in emb.registry:
+            kite = tuple(sorted(entry.endpoints))
+            for link in dual.links:
+                pair = frozenset(
+                    tuple(sorted(dual.faces[f].corners))
+                    for f in (link.face_a, link.face_b))
+                try:
+                    kite_flip(emb, kite, tuple(pair))
+                except PreconditionViolated:
+                    continue
+                flipped.add((kite, pair))
+        assert flipped == listed
+
+    def test_faces_may_be_named_in_either_order(self):
+        emb = flip_fixture()
+        for site in find_flips(emb):
+            forward = kite_flip(emb, site.kite, site.pair)
+            backward = kite_flip(emb, site.kite, site.pair[::-1])
+            assert forward.registry.pairs() == backward.registry.pairs()
 
     def test_precondition_unknown_kite(self):
         with pytest.raises(PreconditionViolated, match="no crossing has"):

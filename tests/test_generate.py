@@ -202,6 +202,38 @@ class TestVertexLimit:
             gen(*args)
 
 
+# (generator, arguments, planarization vertex count: n plus the crossings)
+PLANARIZED_MEMBERS = [
+    (gen_optimal, (3,), 8 * 3 + 2),
+    (gen_sparsest, (1,), 6 * 1 + 2),
+    (gen_sparsest, (2,), 6 * 2 + 2),
+    (gen_sparsest, (3,), 6 * 3 + 2),
+    (gen_densest_intermediate, (2, 1), 8 * 2 + 3),
+    (gen_densest_intermediate, (4, 2), 8 * 4 + 5),
+    (gen_densest_intermediate, (2, 3), 8 * 2 + 6),
+    (gen_densest_intermediate, (2, 4), 8 * 2 + 8),
+    (gen_nested_k5, (3,), 21 * 3 - 18),
+    (gen_rac_counterexample, (), 186),
+]
+
+
+class TestPlanarizationLimit:
+    @pytest.mark.parametrize("gen, args, size", PLANARIZED_MEMBERS)
+    def test_planarization_count_is_known_up_front(self, gen, args, size):
+        assert gen(*args).embedding.planarization.n == size
+
+    @pytest.mark.parametrize("gen, args, size", PLANARIZED_MEMBERS)
+    def test_oversized_planarization_is_refused_before_building(
+            self, monkeypatch, gen, args, size):
+        # the member's n fits the limit, its planarization does not
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", size - 1)
+        monkeypatch.setattr(generate_module, "_Builder", None)
+        with pytest.raises(InvalidParameters,
+                           match=f"planarization has {size} vertices, "
+                                 f"above the limit {size - 1}"):
+            gen(*args)
+
+
 class TestRacCounterexample:
     def test_frozen_shape(self):
         inst = gen_rac_counterexample()

@@ -169,10 +169,10 @@ class TestSoundness:
         res = oracle_maximal_nic(g, optimal=optimal)
         assert res.feasible
         for kites in res.kite_sets:
-            star, dummies = build_star_graph(g, kites)
+            star = build_star_graph(g, kites)
             planarity = planarity_check(star)
             assert planarity.planar
             rotations = tuple(planarity.rotations[v] for v in range(star.n))
-            emb = reinsert_kites(g, rotations, kites, dummies)
+            emb = reinsert_kites(g, rotations, kites)
             assert verify_nic(emb).ok
             assert len(emb.registry) == len(kites.quads)

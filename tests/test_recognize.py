@@ -259,34 +259,33 @@ class TestStepBudget:
 class TestStarGraphConstruction:
     def test_single_kite_collapses_to_a_star(self):
         g = complete_graph(4)
-        star, dummies = build_star_graph(g, KiteSet(((0, 1, 2, 3),)))
+        star = build_star_graph(g, KiteSet(((0, 1, 2, 3),)))
         assert (star.n, star.m) == (5, 4)
         assert star.edges == ((0, 4), (1, 4), (2, 4), (3, 4))
-        assert dummies == {(0, 1, 2, 3): 4}
 
     def test_family_member_star(self):
         g = gen_optimal(2).graph
         res = recognize_optimal(g)
-        star, dummies = build_star_graph(g, res.kites)
+        star = build_star_graph(g, res.kites)
         # six kites: 36 kite edges leave, 24 star edges arrive
         assert (star.n, star.m) == (18, 24)
-        assert sorted(dummies.values()) == list(range(12, 18))
-        assert [dummies[q] for q in sorted(res.kites)] == list(range(12, 18))
+        # dummy 12 + i is the star of the i-th kite in sorted order
+        for z, quad in enumerate(sorted(res.kites), start=12):
+            assert star.adjacency[z] == quad
         assert planarity_check(star).planar
 
     def test_empty_kite_set_is_the_identity(self):
         g = new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        star, dummies = build_star_graph(g, KiteSet(()))
+        star = build_star_graph(g, KiteSet(()))
         assert star.n == g.n and star.edges == g.edges
-        assert dummies == {}
 
 
 class TestKiteReinsertion:
     def test_single_kite_round_trip(self):
         g = complete_graph(4)
         kites = KiteSet(((0, 1, 2, 3),))
-        star, dummies = build_star_graph(g, kites)
-        emb = reinsert_kites(g, solved_rotations(star), kites, dummies)
+        star = build_star_graph(g, kites)
+        emb = reinsert_kites(g, solved_rotations(star), kites)
         assert emb.base.edges == g.edges
         assert len(emb.registry) == 1
         entry = emb.registry.entries[0]
@@ -299,20 +298,10 @@ class TestKiteReinsertion:
 
     def test_empty_kite_set_round_trip(self):
         g = new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        emb = reinsert_kites(g, solved_rotations(g), KiteSet(()), {})
+        emb = reinsert_kites(g, solved_rotations(g), KiteSet(()))
         assert emb.base.edges == g.edges
         assert emb.planarization.edges == g.edges
         assert len(emb.registry) == 0
-
-    def test_misnumbered_dummies_are_refused(self):
-        quads = ((0, 1, 2, 3), (4, 5, 6, 7))
-        g = new_graph(8, sorted(tuple(sorted(p))
-                                for q in quads for p in combinations(q, 2)))
-        kites = KiteSet(quads)
-        star, _ = build_star_graph(g, kites)
-        rotations = solved_rotations(star)
-        with pytest.raises(ValueError, match="number kites consecutively"):
-            reinsert_kites(g, rotations, kites, {quads[0]: 9, quads[1]: 8})
 
 
 def _named_faces(emb, relabel):
@@ -354,8 +343,8 @@ def relabeled_drum(k, seed):
 
 
 def star_graph_embedding(g, kites):
-    star, dummies = build_star_graph(g, kites)
-    return reinsert_kites(g, solved_rotations(star), kites, dummies)
+    star = build_star_graph(g, kites)
+    return reinsert_kites(g, solved_rotations(star), kites)
 
 
 class TestUniqueEmbedding:
