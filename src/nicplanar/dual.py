@@ -205,7 +205,8 @@ def build_dual(emb: NicEmbedding) -> GeneralizedDual:
 
     edge_faces: dict[Edge, list[int]] = {}
     for idx, face in enumerate(faces):
-        for u, v in face.segments:
+        a, b, c = face.corners
+        for u, v in ((a, b), (b, c), (c, a)):
             e = (u, v) if u < v else (v, u)
             edge_faces.setdefault(e, []).append(idx)
 

@@ -91,10 +91,9 @@ class NicEmbedding:
 
 @dataclass(frozen=True)
 class Face:
-    """A face as its cyclic corner sequence plus the directed boundary."""
+    """A face as its cyclic corner sequence; a cut vertex recurs per visit."""
 
     corners: tuple[int, ...]
-    segments: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
         return len(self.corners)
@@ -262,41 +261,31 @@ def embed_with_crossings(base: Graph, crossings, strict: bool = True) -> NicEmbe
 def trace_faces(emb: NicEmbedding) -> tuple[Face, ...]:
     """Faces of the planarization's rotation system.
 
-    The walk runs once per embedding: the embedding is immutable, so the
-    result is kept on it and later calls (``verify_nic``,
-    ``verify_maximal_embedding``, ``build_dual``, the renderers) share
-    it.  Raises :class:`NonSphericalEmbedding` when the rotation system
-    does not describe a sphere embedding (wrong neighbour sets,
-    disconnected planarization, or a face count off Euler's formula).
-    A failed walk is not kept, so every call on such an embedding raises.
+    The one place a rotation system is checked (neighbour permutations,
+    connectivity, Euler's formula); ``face_walk`` trusts it.  Raises
+    :class:`NonSphericalEmbedding`.  The embedding is immutable, so the
+    faces are kept on it and shared by later calls; a failed walk is not
+    kept, so every call on such an embedding raises.
     """
     if emb._faces is not None:
         return emb._faces
     g = emb.planarization
     if g.n != len(emb.rotations):
         raise NonSphericalEmbedding("rotation system size differs from vertex count")
-    rotations = {}
-    for v in range(g.n):
-        rot = emb.rotations[v]
+    for v, rot in enumerate(emb.rotations):
         if sorted(rot) != list(g.adjacency[v]):
             raise NonSphericalEmbedding(
                 f"rotation of vertex {v} is not a permutation of its neighbours"
             )
-        rotations[v] = rot
     if g.n > 1 and not is_connected(g):
         raise NonSphericalEmbedding("planarization is disconnected")
-    try:
-        cycles = face_walk(rotations)
-    except ValueError as exc:
-        raise NonSphericalEmbedding(str(exc)) from exc
+    cycles = face_walk(emb.rotations)
     if g.n - g.m + len(cycles) != 2:
         raise NonSphericalEmbedding(
             f"face count {len(cycles)} violates Euler's formula "
             f"(n={g.n}, m={g.m})"
         )
-    faces = tuple(
-        Face(tuple(u for u, _ in cyc), tuple(cyc)) for cyc in cycles
-    )
+    faces = tuple(map(Face, cycles))
     object.__setattr__(emb, "_faces", faces)
     return faces
 

@@ -9,49 +9,43 @@ graph the orbit count satisfies Euler's formula ``n - m + f = 2``.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from itertools import repeat
+from typing import Sequence
 
-DirectedEdge = tuple[int, int]
 
+def face_walk(rotations: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Return the faces of ``rotations[v]``, v = 0..n-1, as corner tuples.
 
-def face_walk(rotations: Mapping[int, Sequence[int]]) -> list[list[DirectedEdge]]:
-    """Return the faces of a rotation system as directed edge cycles.
-
-    Every directed edge appears in exactly one face.  Faces are emitted in
-    a deterministic order: sorted by their smallest directed edge, and each
-    face is rotated to start at that edge.
+    Each face starts at its smallest directed edge, and faces are sorted
+    by it; a lone vertex ``v`` is the face ``(v,)``.  Nothing is checked:
+    the caller, ``embedding.trace_faces``, already has.  Other input gives
+    wrong faces or ``KeyError``, never a loop: each step pops an edge.
     """
-    position: dict[int, dict[int, int]] = {}
-    for v, order in rotations.items():
-        pos = {}
-        for i, w in enumerate(order):
-            if w in pos:
-                raise ValueError(f"rotation of {v} repeats neighbour {w}")
-            pos[w] = i
-        position[v] = pos
-
-    for v, order in rotations.items():
+    # (u, x) -> the neighbour of x after u, along which the walk leaves x
+    succ: dict[tuple[int, int], int] = {}
+    for x, order in enumerate(rotations):
+        succ.update(zip(zip(order, repeat(x)), order[1:] + order[:1]))
+    pop = succ.pop
+    faces: list[tuple[int, ...]] = []
+    # faces through smaller vertices are already walked: v is the least corner
+    for v, order in enumerate(rotations):
+        if not order:
+            faces.append((v,))
         for w in order:
-            if w not in position or v not in position[w]:
-                raise ValueError(f"rotation lists {v}-{w} in one direction only")
-
-    seen: set[DirectedEdge] = set()
-    faces: list[list[DirectedEdge]] = []
-    for v in sorted(rotations):
-        for w in rotations[v]:
-            if (v, w) in seen:
+            if (v, w) not in succ:
                 continue
-            face: list[DirectedEdge] = []
+            corners = [v]
             u, x = v, w
-            while (u, x) not in seen:
-                seen.add((u, x))
-                face.append((u, x))
-                order = rotations[x]
-                nxt = order[(position[x][u] + 1) % len(order)]
-                u, x = x, nxt
-            if (u, x) != face[0]:
-                raise ValueError("face walk did not close on its first edge")
-            start = face.index(min(face))
-            faces.append(face[start:] + face[:start])
-    faces.sort(key=lambda f: f[0])
+            while True:
+                u, x = x, pop((u, x))
+                if u == v and x == w:
+                    break
+                corners.append(u)
+            if corners.count(v) > 1:  # v is a cut vertex: use its least edge
+                size = len(corners)
+                i = min((i for i in range(size) if corners[i] == v),
+                        key=lambda i: corners[(i + 1) % size])
+                corners = corners[i:] + corners[:i]
+            faces.append(tuple(corners))
+    faces.sort()
     return faces

@@ -86,4 +86,4 @@ def bucket_by_edge(catalog: K4Catalog) -> dict[Edge, tuple[int, ...]]:
         a, b, c, d = quad
         for e in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)):
             buckets.setdefault(e, []).append(idx)
-    return {e: tuple(ids) for e, ids in sorted(buckets.items())}
+    return {e: tuple(ids) for e, ids in buckets.items()}

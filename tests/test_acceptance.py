@@ -91,18 +91,22 @@ def test_01_optimal_family_round_trips_under_ten_seconds():
 def test_02_recognition_time_grows_below_2_5x_per_doubling():
     sizes = [2 ** p for p in range(4, 13)]
     graphs = [gen_optimal(k).graph for k in sizes]
-    timings = []
-    for k, g in zip(sizes, graphs):
-        best = float("inf")
-        for _ in range(3 if k <= 512 else 2):
+    runs = [3 if k <= 512 else 2 for k in sizes]
+    timings = [float("inf")] * len(sizes)
+    # each round times every size once, so a slow spell of the machine is
+    # spread over the sizes instead of falling on the runs of one size
+    for round_ in range(max(runs)):
+        for i, g in enumerate(graphs):
+            if round_ >= runs[i]:
+                continue
             gc.collect()
             gc.disable()
             begin = time.perf_counter()
             rec = recognize_optimal(g)
-            best = min(best, time.perf_counter() - begin)
+            timings[i] = min(timings[i], time.perf_counter() - begin)
             gc.enable()
-        assert rec.accepted
-        timings.append(best)
+            assert rec.accepted
+            del rec  # freed here, not inside the next size's timed call
     for smaller, larger in zip(timings, timings[1:]):
         assert larger <= 2.5 * smaller
     assert timings[-1] < 5.0  # n = 20482

@@ -227,6 +227,24 @@ class TestVerify:
         assert doc["ok"] is False
         assert doc["violations"][0]["rule"] == "crossing-pairs-share-le-one"
 
+    def test_single_vertex_has_one_face(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text('{"n": 1, "edges": [], "crossings": [], "rotations": {}}')
+        code, out, _ = run_cli(["verify", str(path)], capsys)
+        assert code == 0 and json.loads(out)["ok"] is True
+        code, out, _ = run_cli(["export", "--format", "svg", str(path)], capsys)
+        assert code == 0 and "<circle" in out and ">0</text>" in out
+        code, out, err = run_cli(["dual", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: face (0,) has 1 corners, expected 3\n"
+        # no vertex, no face: Euler's formula still rejects it
+        path.write_text('{"n": 0, "edges": [], "crossings": [], "rotations": {}}')
+        code, out, _ = run_cli(["verify", str(path)], capsys)
+        assert code == 1
+        assert json.loads(out)["violations"] == [{
+            "rule": "spherical",
+            "message": "face count 0 violates Euler's formula (n=0, m=0)"}]
+
     def test_malformed_crossings_are_an_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 3, "edges": [], "crossings": 5, "rotations": {}}')

@@ -3,9 +3,11 @@
 A fixed command set covers ``generate`` (one member of each family),
 ``verify``, ``verify --maximal``, ``dual`` (JSON and DOT), ``export``
 (DOT and SVG) and ``recognize`` (a relabeled drum, a rejection and a
-two-input batch).  A change meant to keep CLI output byte-identical must
-leave every digest as it is; a change that alters output on purpose
-updates the table and says why.  Commands run in-process through
+two-input batch), plus ``verify``, ``export`` and ``dual`` on a plane
+embedding with a cut vertex, whose outer face repeats a corner.  A
+change meant to keep CLI output byte-identical must leave every digest
+as it is; a change that alters output on purpose updates the table and
+says why.  Commands run in-process through
 ``main`` from a temporary working directory, so file names in the
 output are relative and stable.
 """
@@ -39,7 +41,19 @@ ANALYSE = {
     "recognize drum": ["recognize", "drum.txt"],
     "recognize rejection": ["recognize", "moved.txt"],
     "recognize batch": ["recognize", "drum.txt", "moved.txt"],
+    "verify bowtie": ["verify", "bowtie.json"],
+    "export bowtie": ["export", "bowtie.json"],
+    "export --format svg bowtie": ["export", "--format", "svg", "bowtie.json"],
+    "dual bowtie": ["dual", "bowtie.json"],
 }
+
+#: two triangles sharing vertex 0; its outer face repeats that cut vertex,
+#: and the walk from 0 meets it first along (0, 3), not its smallest
+#: directed edge (0, 1)
+BOWTIE = {"n": 5, "edges": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [3, 4]],
+          "crossings": [],
+          "rotations": {"0": [3, 4, 1, 2], "1": [2, 0], "2": [0, 1],
+                        "3": [4, 0], "4": [0, 3]}}
 
 #: command -> [exit code, stdout digest, stderr digest], first 16 hex digits
 PINNED = {
@@ -57,6 +71,12 @@ PINNED = {
     "recognize drum": [0, "fdbf2858826a2d06", "e3b0c44298fc1c14"],
     "recognize rejection": [1, "e3b0c44298fc1c14", "c637db0c53ab5b84"],
     "recognize batch": [1, "9f3611a77110bdd2", "e3b0c44298fc1c14"],
+    # taken before the face walk began to trust its caller, to show that
+    # a face repeating a cut vertex keeps its start and its order
+    "verify bowtie": [0, "b22409f6aa9de667", "e3b0c44298fc1c14"],
+    "export bowtie": [0, "3ff3d26a6340168b", "e3b0c44298fc1c14"],
+    "export --format svg bowtie": [0, "290ddcb90a93f6ae", "e3b0c44298fc1c14"],
+    "dual bowtie": [2, "e3b0c44298fc1c14", "a8dbf4f761b7d10b"],
 }
 
 
@@ -72,8 +92,9 @@ def _run(argv) -> tuple[list, str]:
 
 
 def _write_inputs(nested_doc: dict) -> None:
-    with open("nested.json", "w", encoding="utf-8") as fh:
-        json.dump(nested_doc, fh, sort_keys=True)
+    for name, doc in (("nested.json", nested_doc), ("bowtie.json", BOWTIE)):
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True)
     # the four-column drum under the relabeling v -> 7v + 3 mod 22, its
     # edges listed in descending order
     g = gen_optimal(4).graph

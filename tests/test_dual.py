@@ -65,7 +65,7 @@ def flip_fixture():
 
 
 def tri_face(a, b, c):
-    return Face((a, b, c), ((a, b), (b, c), (c, a)))
+    return Face((a, b, c))
 
 
 def synthetic(nodes, links, faces=(), embedding=None):

@@ -3,8 +3,9 @@ from __future__ import annotations
 import json
 from itertools import combinations
 
+import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nicplanar.graph as graph_module
@@ -21,6 +22,8 @@ from nicplanar.embedding import (
 )
 from nicplanar.errors import NonSphericalEmbedding, ParseError
 from nicplanar.graph import new_graph
+# aliased: a module-level name starting with "test_" would be collected
+from nicplanar.planarity import test_planarity as planarity_check
 
 
 def complete(n):
@@ -64,6 +67,72 @@ def test_rotation_permutation_mismatch_rejected():
                        build_planarization(g, [])[1])
     with pytest.raises(NonSphericalEmbedding):
         trace_faces(emb)
+
+
+@st.composite
+def plane_embeddings(draw):
+    """Connected planar graphs (trees and cut vertices included) embedded
+    by the planarity test."""
+    n = draw(st.integers(2, 9))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for _ in range(draw(st.integers(0, 2 * n))):
+        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        g = new_graph(n, sorted(edges | {(u, v)}))
+        if planarity_check(g).planar:
+            edges.add((u, v))
+    g = new_graph(n, sorted(edges))
+    result = planarity_check(g)
+    # a rotation is cyclic: start each one anywhere
+    rotations = []
+    for v in range(n):
+        rot = result.rotations[v]
+        i = draw(st.integers(0, len(rot) - 1))
+        rotations.append(rot[i:] + rot[:i])
+    return NicEmbedding(g, g, tuple(rotations), build_planarization(g, [])[1])
+
+
+def reference_faces(rotations):
+    """Orbits of the directed edges, each rotated to start at its smallest
+    directed edge, sorted by that edge, as corner tuples."""
+    def succ(u, x):
+        order = rotations[x]
+        return x, order[(order.index(u) + 1) % len(order)]
+
+    darts = sorted((v, w) for v in range(len(rotations)) for w in rotations[v])
+    seen, orbits = set(), []
+    for dart in darts:
+        if dart in seen:
+            continue
+        orbit = [dart]
+        while succ(*orbit[-1]) != dart:
+            orbit.append(succ(*orbit[-1]))
+        seen.update(orbit)
+        i = orbit.index(min(orbit))
+        orbits.append(orbit[i:] + orbit[:i])
+    return [tuple(u for u, _ in orbit) for orbit in sorted(orbits)]
+
+
+def smallest_rotation(seq):
+    seq = tuple(seq)
+    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(plane_embeddings())
+def test_faces_match_reference_and_networkx(emb):
+    faces = [f.corners for f in trace_faces(emb)]
+    assert faces == reference_faces(emb.rotations)
+    # networkx walks the other way round a clockwise rotation
+    nx_emb = nx.PlanarEmbedding()
+    nx_emb.set_data({v: list(reversed(rot))
+                     for v, rot in enumerate(emb.rotations)})
+    seen, nx_faces = set(), []
+    for v, w in sorted(nx_emb.edges()):
+        if (v, w) not in seen:
+            face = nx_emb.traverse_face(v, w, mark_half_edges=seen)
+            nx_faces.append(smallest_rotation(face))
+    assert sorted(map(smallest_rotation, faces)) == sorted(nx_faces)
 
 
 # --- verify_nic ---

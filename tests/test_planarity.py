@@ -39,7 +39,7 @@ def test_known_nonplanar_graphs():
 def test_rotation_system_face_counts():
     g = complete(4)
     result = planarity_check(g)
-    faces = face_walk(result.rotations)
+    faces = face_walk([result.rotations[v] for v in range(g.n)])
     assert len(faces) == 4
     assert all(len(f) == 3 for f in faces)
 
@@ -85,5 +85,5 @@ def test_euler_formula_on_connected_planar(g):
     result = planarity_check(g)
     if not result.planar:
         return
-    faces = face_walk(result.rotations)
+    faces = face_walk([result.rotations[v] for v in range(g.n)])
     assert g.n - g.m + len(faces) == 2
