@@ -1,22 +1,26 @@
 """Embeddings with at most one crossing per edge.
 
-A :class:`NicEmbedding` couples the abstract graph with a crossing
-registry and a rotation system of its planarization.  Each crossing is
-replaced by a degree-4 dummy vertex; dummy ``i`` gets planarization id
-``base.n + i`` and is named ``"x<i>"`` (``NicEmbedding.vertex_name``) in
-JSON, DOT and messages.
+A :class:`NicEmbedding` is a graph, its crossing pairs and a rotation
+system of its planarization.  The planarization and the crossing
+registry are derived from the graph and the pairs when the embedding is
+built, so they always agree: each crossing is replaced by a degree-4
+dummy vertex, dummy ``i`` gets planarization id ``base.n + i`` and is
+named ``"x<i>"`` (``NicEmbedding.vertex_name``) in JSON, DOT and
+messages.
 
 ``verify_nic`` checks the defining conditions (each edge crossed at most
-once, two crossing pairs share at most one endpoint) plus structural
-integrity of the planarization.  ``verify_maximal_embedding`` layers the
-face conditions of maximal embeddings on top and delegates the dual
-adjacency rules to :mod:`nicplanar.dual`.
+once, two crossing pairs share at most one endpoint), the interleaving
+of each crossing at its dummy and the rotation system's sphericity.
+``verify_maximal_embedding`` layers the face conditions of maximal
+embeddings on top and delegates the dual adjacency rules to
+:mod:`nicplanar.dual`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import InitVar, dataclass, field
 
 from .errors import NonSphericalEmbedding, NotMaximalEmbedding, ParseError
 from .faces import face_walk
@@ -59,26 +63,50 @@ class CrossingRegistry:
     def __iter__(self):
         return iter(self.entries)
 
-    def crossed_edges(self) -> list[Edge]:
-        out = []
-        for e in self.entries:
-            out.append(e.first)
-            out.append(e.second)
-        return out
-
     def pairs(self) -> tuple[Crossing, ...]:
         return tuple(e.pair for e in self.entries)
 
 
 @dataclass(frozen=True)
 class NicEmbedding:
+    """A graph, its crossing pairs and a rotation system of its planarization.
+
+    ``crossings`` is read once, so any iterable of edge pairs will do.
+    Each pair is normalized into the registry, and dummy ``i`` is
+    planarization vertex ``base.n + i``, in input order, adjacent to the
+    pair's distinct endpoints in place of the crossed edges.  The pairs
+    themselves (existence, disjointness, single use) are not judged
+    here: a malformed list still planarizes, and ``verify_nic`` reports
+    it.
+    """
+
     base: Graph
-    planarization: Graph
+    crossings: InitVar[Iterable]
     rotations: tuple[tuple[int, ...], ...]
-    registry: CrossingRegistry
+    planarization: Graph = field(init=False)
+    registry: CrossingRegistry = field(init=False)
     #: faces memoized by ``trace_faces``; not part of the value
     _faces: tuple[Face, ...] | None = field(
         default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self, crossings) -> None:
+        base = self.base
+        entries = []
+        crossed: set[Edge] = set()
+        # a set, so malformed lists (shared endpoints, repeated edges)
+        # still planarize and get judged by verify_nic instead of here
+        star_edges: set[Edge] = set()
+        for dummy, (e1, e2) in enumerate(crossings, start=base.n):
+            a, b = normalize_crossing(e1, e2)
+            entries.append(CrossingEntry(dummy, a, b))
+            crossed.add(a)
+            crossed.add(b)
+            for u in set(a + b):
+                star_edges.add((u, dummy))
+        kept = [e for e in base.edges if e not in crossed]
+        object.__setattr__(self, "planarization", new_graph(
+            base.n + len(entries), kept + sorted(star_edges)))
+        object.__setattr__(self, "registry", CrossingRegistry(tuple(entries)))
 
     def is_dummy(self, v: int) -> bool:
         return v >= self.base.n
@@ -129,32 +157,6 @@ class VerificationReport:
 
 
 # --- construction ---
-
-
-def build_planarization(base: Graph, crossings) -> tuple[Graph, CrossingRegistry]:
-    """Replace each crossing by a dummy vertex of degree four.
-
-    ``crossings`` is an iterable of edge pairs.  Dummies are numbered in
-    input order starting at ``base.n``.  Validity of the pairs themselves
-    (existence, disjointness, single use) is left to ``verify_nic``.
-    """
-    entries = []
-    crossed: set[Edge] = set()
-    # a set, so malformed registries (shared endpoints, repeated edges)
-    # still planarize and get judged by verify_nic instead of crashing here
-    star_edges: set[Edge] = set()
-    next_id = base.n
-    for e1, e2 in crossings:
-        a, b = normalize_crossing(e1, e2)
-        entries.append(CrossingEntry(next_id, a, b))
-        crossed.add(a)
-        crossed.add(b)
-        for u in set(a + b):
-            star_edges.add((u, next_id))
-        next_id += 1
-    kept = [e for e in base.edges if e not in crossed]
-    planarization = new_graph(next_id, kept + sorted(star_edges))
-    return planarization, CrossingRegistry(tuple(entries))
 
 
 def rotations_from_triangles(n: int, faces) -> tuple[tuple[int, ...], ...]:
@@ -225,15 +227,17 @@ def _pin_crossings(planarization: Graph, registry: CrossingRegistry):
         for v in range(keep))
 
 
-def embed_with_crossings(base: Graph, crossings, strict: bool = True) -> NicEmbedding:
-    """Planarize, embed, and assemble a :class:`NicEmbedding`.
+def embed_with_crossings(base: Graph, crossings) -> NicEmbedding:
+    """Planarize, embed, and check a :class:`NicEmbedding`.
 
-    Raises ``ValueError`` when the planarization is not planar or no
-    planar embedding of it realizes every crossing.  With ``strict`` (the
-    default) the result is passed through ``verify_nic`` and any
-    violation raises, which generators rely on as a self-check.
+    Raises ``ValueError`` when the planarization is not planar, when no
+    planar embedding of it realizes every crossing, or when the result
+    fails ``verify_nic``; generators rely on that as a self-check.
     """
-    planarization, registry = build_planarization(base, crossings)
+    # built without rotations, which are filled in before the embedding
+    # is returned, so the planarity test reads the one planarization
+    emb = NicEmbedding(base, crossings, ())
+    planarization, registry = emb.planarization, emb.registry
     result = test_planarity(planarization)
     if not result.planar:
         raise ValueError("planarization of the crossing set is not planar")
@@ -247,11 +251,15 @@ def embed_with_crossings(base: Graph, crossings, strict: bool = True) -> NicEmbe
                 "no planar embedding of the planarization realizes every "
                 "registered crossing")
         rotations = pinned
-    emb = NicEmbedding(base, planarization, rotations, registry)
-    if strict:
-        report = verify_nic(emb)
-        if not report.ok:
-            raise ValueError("constructed embedding is invalid:\n" + report.summary())
+    object.__setattr__(emb, "rotations", rotations)
+    return certified(emb)
+
+
+def certified(emb: NicEmbedding) -> NicEmbedding:
+    """``emb`` itself once it passes ``verify_nic``; ``ValueError`` if not."""
+    report = verify_nic(emb)
+    if not report.ok:
+        raise ValueError("constructed embedding is invalid:\n" + report.summary())
     return emb
 
 
@@ -294,7 +302,13 @@ def trace_faces(emb: NicEmbedding) -> tuple[Face, ...]:
 
 
 def verify_nic(emb: NicEmbedding) -> VerificationReport:
-    """Check the crossing conditions and planarization integrity."""
+    """Check the crossing conditions, the crossings' interleaving and the
+    rotation system.
+
+    The dummy numbering and the planarization's edge set are derived
+    from the pairs when the embedding is built, so they hold by
+    construction; their rule names stay in ``checked``.
+    """
     base = emb.base
     checked = (
         "registry-edges-in-base",
@@ -352,29 +366,6 @@ def verify_nic(emb: NicEmbedding) -> VerificationReport:
                         f"crossing pairs {entries[other].pair} and "
                         f"{entry.pair} share vertices {list(key)}",
                     ))
-
-    expected_ids = list(range(base.n, base.n + len(entries)))
-    if [e.dummy for e in entries] != expected_ids or \
-            emb.planarization.n != base.n + len(entries):
-        violations.append(Violation(
-            "dummy-numbering",
-            "dummy ids must be consecutive from n in registry order",
-        ))
-        return VerificationReport(tuple(violations), checked)
-
-    crossed = set(emb.registry.crossed_edges())
-    expected = {e for e in base.edges if e not in crossed}
-    for entry in entries:
-        for u in entry.endpoints:
-            expected.add((u, entry.dummy) if u < entry.dummy else (entry.dummy, u))
-    if expected != emb.planarization.edge_set:
-        missing = sorted(expected - emb.planarization.edge_set)[:4]
-        extra = sorted(emb.planarization.edge_set - expected)[:4]
-        violations.append(Violation(
-            "planarization-edges",
-            f"planarization edge set mismatch (missing {missing}, extra {extra})",
-        ))
-        return VerificationReport(tuple(violations), checked)
 
     for entry in entries:
         rot = emb.rotations[entry.dummy]
@@ -449,21 +440,6 @@ def verify_maximal_embedding(emb: NicEmbedding) -> VerificationReport:
     return VerificationReport(tuple(violations), checked)
 
 
-# --- derived graphs ---
-
-
-def planar_reduction(emb: NicEmbedding) -> Graph:
-    """Drop the lexicographically larger edge of each crossing pair."""
-    dropped = {entry.second for entry in emb.registry}
-    return new_graph(emb.base.n, [e for e in emb.base.edges if e not in dropped])
-
-
-def planar_skeleton(emb: NicEmbedding) -> Graph:
-    """Drop both edges of every crossing pair."""
-    dropped = set(emb.registry.crossed_edges())
-    return new_graph(emb.base.n, [e for e in emb.base.edges if e not in dropped])
-
-
 # --- JSON interchange ---
 
 
@@ -494,7 +470,7 @@ def embedding_to_json(emb: NicEmbedding) -> str:
 
 
 def _parse_vertex_name(token, n: int, c: int):
-    if isinstance(token, int):
+    if type(token) is int:
         v = token
     elif isinstance(token, str) and token.startswith("x"):
         try:
@@ -531,10 +507,14 @@ def embedding_from_json(text: str | bytes) -> NicEmbedding:
         if key not in doc:
             raise ParseError(f"missing key {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 0:
+    # JSON booleans load as bool, a subclass of int; they are no vertex ids
+    if type(n) is not int or n < 0:
         raise ParseError("'n' must be a non-negative integer")
     try:
-        base = new_graph(n, [tuple(e) for e in doc["edges"]])
+        edges = [tuple(e) for e in doc["edges"]]
+        if any(type(v) is bool for e in edges for v in e):
+            raise ValueError("vertex ids must be integers")
+        base = new_graph(n, edges)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad edge list: {exc}") from exc
 
@@ -546,28 +526,31 @@ def embedding_from_json(text: str | bytes) -> NicEmbedding:
             raise ParseError("each crossing must be an object with a 'pair'")
         pair = item["pair"]
         if (not isinstance(pair, list) or len(pair) != 2 or
-                any(not isinstance(e, list) or len(e) != 2 for e in pair)):
+                any(not isinstance(e, list) or len(e) != 2 or
+                    any(type(v) is bool for v in e) for e in pair)):
             raise ParseError(f"malformed crossing pair {pair!r}")
         pairs.append((tuple(pair[0]), tuple(pair[1])))
     c = len(pairs)
 
+    # rotations are filled in once parsed, so that crossing errors are
+    # reported before rotation errors
     try:
-        planarization, registry = build_planarization(base, pairs)
+        emb = NicEmbedding(base, pairs, ())
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad crossing list: {exc}") from exc
 
     rot_doc = doc["rotations"]
     if not isinstance(rot_doc, dict):
         raise ParseError("'rotations' must be an object")
+    planarization = emb.planarization
     rotations: list[tuple[int, ...] | None] = [None] * planarization.n
     for key, order in rot_doc.items():
         v = _parse_vertex_name(key, n, c)
         if not isinstance(order, list):
             raise ParseError(f"rotation of {key!r} must be an array")
         rotations[v] = tuple(_parse_vertex_name(t, n, c) for t in order)
-    emb = NicEmbedding(base, planarization,
-                       tuple(rot or () for rot in rotations), registry)
     for v, rot in enumerate(rotations):
         if rot is None and planarization.degree(v):
             raise ParseError(f"missing rotation for vertex {emb.vertex_name(v)}")
+    object.__setattr__(emb, "rotations", tuple(rot or () for rot in rotations))
     return emb

@@ -1,10 +1,10 @@
 """Generators for the extremal NIC-planar families.
 
 Every generator assembles an explicit edge list plus crossing list,
-planarizes, embeds, and self-checks the result with a strict
-``verify_nic`` before returning it, so a construction bug surfaces at the
-call site instead of in a downstream verifier.  Vertex labelings are
-deterministic functions of the parameters.
+embeds it, and self-checks the result with ``verify_nic`` before
+returning it, so a construction bug surfaces at the call site instead of
+in a downstream verifier.  Vertex labelings are deterministic
+functions of the parameters.
 
 The densest family ("optimal", 18(n-2)/5 edges) is a drum: two poles and
 k columns of three kites each, closed into a cycle.  Its faces are known
@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from . import graph as _graph
 from .embedding import (
     NicEmbedding,
-    build_planarization,
+    certified,
     embed_with_crossings,
     rotations_from_triangles,
-    verify_nic,
 )
 from .errors import InvalidParameters, KTooSmall
 from .graph import Edge, Graph, new_graph
@@ -85,13 +84,8 @@ class _Builder:
         if faces is None:
             emb = embed_with_crossings(g, self.crossings)
         else:
-            planarization, registry = build_planarization(g, self.crossings)
-            rotations = rotations_from_triangles(planarization.n, faces)
-            emb = NicEmbedding(g, planarization, rotations, registry)
-            report = verify_nic(emb)
-            if not report.ok:
-                raise ValueError(
-                    "constructed embedding is invalid:\n" + report.summary())
+            rotations = rotations_from_triangles(n + len(self.crossings), faces)
+            emb = certified(NicEmbedding(g, self.crossings, rotations))
         return GeneratedInstance(kind, params, emb)
 
 

@@ -3,10 +3,10 @@
 Thin contract over the left-right planarity test from networkx, which
 is imported on the first call: recognizing an optimal graph and every
 rejection screen run without it.  The returned rotation system is not
-re-checked here.  The recognizer and the strict ``embed_with_crossings``
-pass the embedding they build from it through ``verify_nic``, whose
-face walk (``trace_faces``) checks the neighbour permutations,
-connectivity and Euler's formula once.
+re-checked here.  The recognizer and ``embed_with_crossings`` pass the
+embedding they build from it through ``verify_nic``, whose face walk
+(``trace_faces``) checks the neighbour permutations, connectivity and
+Euler's formula once.
 """
 
 from __future__ import annotations

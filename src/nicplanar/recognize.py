@@ -19,10 +19,12 @@ no other K4.  The recognizer exploits this in four passes:
    its single outside apex, and one orientation spreads from kite to
    kite across those triangles.  ``verify_nic`` certifies the result.
    Only when the kites do not pin an embedding down, or the one read
-   off fails the check, does the recognizer collapse each kite to a
-   star around a fresh dummy vertex, planarity-test that star graph and
-   re-expand each dummy into a crossing whose pair is read off the
-   dummy's rotation; that embedding gets the same ``verify_nic``.
+   off fails the check, does the recognizer fall back to
+   ``embed_from_star_graph``: it collapses each kite to a star around a
+   fresh dummy vertex and planarity-tests that star graph; the corners
+   opposite each other in a dummy's rotation are the kite's crossing
+   pair, and ``embed_with_crossings`` embeds the graph with those pairs
+   and certifies it with the same ``verify_nic``.
 
 All failures are verdicts, not exceptions: callers get a reason code
 and the counters the run produced.
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 from .embedding import (
     NicEmbedding,
-    build_planarization,
+    embed_with_crossings,
     rotations_from_triangles,
     verify_nic,
 )
@@ -163,19 +165,11 @@ def recognize_optimal(g: Graph,
 
     emb = embed_from_kites(g, kites)
     if emb is None or not verify_nic(emb).ok:
-        star = build_star_graph(g, kites)
-        planarity = test_planarity(star)
-        if not planarity.planar:
+        emb = embed_from_star_graph(g, kites)
+        if emb is None:
             diagnostics["message"] = "star graph is not planar"
             return RecognitionResult(None, NONPLANAR_STAR_GRAPH, None,
                                      diagnostics)
-        rotations = tuple(planarity.rotations[v] for v in range(star.n))
-        emb = reinsert_kites(g, rotations, kites)
-        report = verify_nic(emb)
-        if not report.ok:
-            raise AssertionError(
-                "recognizer produced an embedding that fails verification:\n"
-                + report.summary())
     if len(emb.registry) != m - (3 * n - 6):
         raise AssertionError(
             f"recognizer produced {len(emb.registry)} crossings, "
@@ -189,8 +183,8 @@ def build_star_graph(g: Graph, kites: KiteSet) -> Graph:
     All six edges inside a kite's vertex set are removed and a dummy
     adjacent to its four corners is added.  Dummy ``i`` is vertex
     ``g.n + i`` for the ``i``-th kite in sorted order, the numbering
-    ``reinsert_kites`` and ``embed_from_kites`` use.  With an empty kite
-    set this is the identity.
+    ``embed_from_kites`` uses.  With an empty kite set this is the
+    identity.
     """
     removed: set[Edge] = set()
     star_edges: list[Edge] = []
@@ -201,38 +195,25 @@ def build_star_graph(g: Graph, kites: KiteSet) -> Graph:
     return new_graph(g.n + len(kites), kept + star_edges)
 
 
-def reinsert_kites(g: Graph, rotations, kites: KiteSet) -> NicEmbedding:
-    """Expand each star dummy back into a kite crossing of ``g``.
+def embed_from_star_graph(g: Graph, kites: KiteSet) -> NicEmbedding | None:
+    """The embedding of ``g`` found through its star graph, or None.
 
-    ``rotations`` must be a planar rotation system of the star graph
-    that ``build_star_graph`` makes of ``g`` and ``kites``, so dummy
-    ``i`` is vertex ``g.n + i``.  The dummy's rotation dictates the crossing:
-    opposite neighbours form the crossed pair.  At each corner the dummy
-    entry expands to (next corner, dummy, previous corner), so each
-    wedge face at the dummy closes into a triangle.  An empty kite set
-    returns the planar input unchanged, with an empty registry.
+    The star graph of ``g`` and ``kites`` is planarity-tested; None when
+    it is not planar.  Otherwise the rotation at each kite's dummy
+    dictates the crossing: opposite corners form the crossed pair, and
+    ``embed_with_crossings`` embeds ``g`` with those pairs, so the
+    result has passed ``verify_nic``.  An empty kite set embeds the
+    planar input with an empty registry.
     """
-    n = g.n
+    star = build_star_graph(g, kites)
+    planarity = test_planarity(star)
+    if not planarity.planar:
+        return None
     pairs = []
-    splice: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for z in range(n, n + len(kites)):
-        ring = rotations[z]
-        pairs.append(((ring[0], ring[2]), (ring[1], ring[3])))
-        for i, v in enumerate(ring):
-            splice[v, z] = (ring[(i + 1) % 4], z, ring[i - 1])
-    planarization, registry = build_planarization(g, pairs)
-
-    new_rotations = []
-    for v in range(n):
-        rot: list[int] = []
-        for w in rotations[v]:
-            if w < n:
-                rot.append(w)
-            else:
-                rot.extend(splice[v, w])
-        new_rotations.append(tuple(rot))
-    new_rotations.extend(tuple(rotations[z]) for z in range(n, planarization.n))
-    return NicEmbedding(g, planarization, tuple(new_rotations), registry)
+    for z in range(g.n, star.n):
+        a, b, c, d = planarity.rotations[z]
+        pairs.append(((a, c), (b, d)))
+    return embed_with_crossings(g, pairs)
 
 
 def embed_from_kites(g: Graph, kites: KiteSet) -> NicEmbedding | None:
@@ -327,6 +308,5 @@ def embed_from_kites(g: Graph, kites: KiteSet) -> NicEmbedding | None:
         return None
 
     pairs = [((a, c), (b, d)) for a, b, c, d in cycles]
-    planarization, registry = build_planarization(g, pairs)
-    rotations = rotations_from_triangles(planarization.n, faces)
-    return NicEmbedding(g, planarization, rotations, registry)
+    rotations = rotations_from_triangles(n + len(pairs), faces)
+    return NicEmbedding(g, pairs, rotations)

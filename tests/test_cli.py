@@ -21,7 +21,7 @@ import nicplanar
 import nicplanar.cli as cli
 import nicplanar.graph as graph_module
 from nicplanar.cli import main
-from nicplanar.embedding import embed_with_crossings, embedding_to_doc, embedding_to_json
+from nicplanar.embedding import embedding_to_doc, embedding_to_json
 from nicplanar.generate import gen_optimal, gen_sparsest
 from nicplanar.graph import new_graph, serialize_graph
 from nicplanar.recognize import recognize_optimal
@@ -215,12 +215,17 @@ class TestVerify:
         assert json.loads(out)["ok"] is True
 
     def test_failing_embedding(self, tmp_path, capsys):
-        g = new_graph(6, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 4), (1, 5),
-                          (4, 5)])
-        emb = embed_with_crossings(
-            g, [((0, 2), (1, 3)), ((0, 4), (1, 5))], strict=False)
+        # two crossings flanking the edge 0-1 share both its endpoints
         path = tmp_path / "bad.json"
-        path.write_text(embedding_to_json(emb))
+        path.write_text(json.dumps({
+            "n": 6,
+            "edges": [[0, 1], [0, 2], [0, 4], [1, 3], [1, 5], [2, 3], [4, 5]],
+            "crossings": [{"pair": [[0, 2], [1, 3]]},
+                          {"pair": [[0, 4], [1, 5]]}],
+            "rotations": {"0": [1, "x1", "x0"], "1": [0, "x0", "x1"],
+                          "2": [3, "x0"], "3": [2, "x0"], "4": [5, "x1"],
+                          "5": [4, "x1"], "x0": [0, 3, 2, 1],
+                          "x1": [0, 5, 4, 1]}}))
         code, out, _ = run_cli(["verify", str(path)], capsys)
         assert code == 1
         doc = json.loads(out)

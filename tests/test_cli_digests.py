@@ -4,7 +4,9 @@ A fixed command set covers ``generate`` (one member of each family),
 ``verify``, ``verify --maximal``, ``dual`` (JSON and DOT), ``export``
 (DOT and SVG) and ``recognize`` (a relabeled drum, a rejection and a
 two-input batch), plus ``verify``, ``export`` and ``dual`` on a plane
-embedding with a cut vertex, whose outer face repeats a corner.  A
+embedding with a cut vertex, whose outer face repeats a corner, and
+``verify`` and ``export`` on the nested embedding with its crossing
+pairs listed unnormalized.  A
 change meant to keep CLI output byte-identical must leave every digest
 as it is; a change that alters output on purpose updates the table and
 says why.  Commands run in-process through
@@ -45,6 +47,8 @@ ANALYSE = {
     "export bowtie": ["export", "bowtie.json"],
     "export --format svg bowtie": ["export", "--format", "svg", "bowtie.json"],
     "dual bowtie": ["dual", "bowtie.json"],
+    "verify reversed pairs": ["verify", "reversed.json"],
+    "export reversed pairs": ["export", "reversed.json"],
 }
 
 #: two triangles sharing vertex 0; its outer face repeats that cut vertex,
@@ -77,6 +81,10 @@ PINNED = {
     "export bowtie": [0, "3ff3d26a6340168b", "e3b0c44298fc1c14"],
     "export --format svg bowtie": [0, "290ddcb90a93f6ae", "e3b0c44298fc1c14"],
     "dual bowtie": [2, "e3b0c44298fc1c14", "a8dbf4f761b7d10b"],
+    # reading the document normalizes each pair, so these bytes equal
+    # those of the normalized nested embedding
+    "verify reversed pairs": [0, "b22409f6aa9de667", "e3b0c44298fc1c14"],
+    "export reversed pairs": [0, "037e0eb654412cde", "e3b0c44298fc1c14"],
 }
 
 
@@ -91,8 +99,17 @@ def _run(argv) -> tuple[list, str]:
     return [code, _digest(out.getvalue()), _digest(err.getvalue())], out.getvalue()
 
 
+def _reversed_pairs(doc: dict) -> dict:
+    """``doc`` with each crossing pair listed unnormalized: both edges
+    reversed and the later edge first."""
+    crossings = [{"pair": [item["pair"][1][::-1], item["pair"][0][::-1]]}
+                 for item in doc["crossings"]]
+    return {**doc, "crossings": crossings}
+
+
 def _write_inputs(nested_doc: dict) -> None:
-    for name, doc in (("nested.json", nested_doc), ("bowtie.json", BOWTIE)):
+    for name, doc in (("nested.json", nested_doc), ("bowtie.json", BOWTIE),
+                      ("reversed.json", _reversed_pairs(nested_doc))):
         with open(name, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True)
     # the four-column drum under the relabeling v -> 7v + 3 mod 22, its

@@ -252,7 +252,7 @@ class TestLevels:
         pocket = [(6, 8), (8, 9), (9, 10), (10, 6), (0, 8), (0, 9),
                   (0, 10), (1, 10), (6, 9), (8, 10)]
         emb = embed_with_crossings(new_graph(11, rim + spokes + pocket),
-                                   [((6, 9), (8, 10))], strict=False)
+                                   [((6, 9), (8, 10))])
         assert verify_nic(emb).ok
         dual = build_dual(emb)
         with pytest.raises(LevelExceedsTwo, match="beyond distance two"):

@@ -5,18 +5,15 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nicplanar.graph as graph_module
 from nicplanar.embedding import (
     NicEmbedding,
-    build_planarization,
     embed_with_crossings,
     embedding_from_json,
     embedding_to_json,
-    planar_reduction,
-    planar_skeleton,
     trace_faces,
     verify_nic,
 )
@@ -52,7 +49,7 @@ def test_kite_k4_frozen_face_structure():
 def test_nonspherical_rotation_rejected():
     g = complete(4)
     rotations = tuple(g.adjacency)  # all-ascending order embeds K4 on the torus
-    emb = NicEmbedding(g, g, rotations, build_planarization(g, [])[1])
+    emb = NicEmbedding(g, [], rotations)
     # faces are memoized per embedding; a failed walk must fail again
     for _ in range(2):
         with pytest.raises(NonSphericalEmbedding):
@@ -63,8 +60,7 @@ def test_nonspherical_rotation_rejected():
 
 def test_rotation_permutation_mismatch_rejected():
     g = new_graph(3, [(0, 1), (1, 2), (0, 2)])
-    emb = NicEmbedding(g, g, ((1, 2), (0, 0), (0, 1)),
-                       build_planarization(g, [])[1])
+    emb = NicEmbedding(g, [], ((1, 2), (0, 0), (0, 1)))
     with pytest.raises(NonSphericalEmbedding):
         trace_faces(emb)
 
@@ -89,7 +85,7 @@ def plane_embeddings(draw):
         rot = result.rotations[v]
         i = draw(st.integers(0, len(rot) - 1))
         rotations.append(rot[i:] + rot[:i])
-    return NicEmbedding(g, g, tuple(rotations), build_planarization(g, [])[1])
+    return NicEmbedding(g, [], tuple(rotations))
 
 
 def reference_faces(rotations):
@@ -144,27 +140,28 @@ def test_valid_kite_passes():
     assert "crossing-pairs-share-le-one" in report.checked
 
 
+def planarity_embedded(base, crossings):
+    """``base`` with ``crossings``, its rotations taken unchecked from a
+    planarity test of the planarization."""
+    planarization = NicEmbedding(base, crossings, ()).planarization
+    result = planarity_check(planarization)
+    assert result.planar
+    rotations = tuple(result.rotations[v] for v in range(planarization.n))
+    return NicEmbedding(base, crossings, rotations)
+
+
 def test_edge_crossed_twice_detected():
     # 0-2 registered in two crossings; planarization still planar
     base = new_graph(6, [(0, 1), (0, 2), (1, 3), (0, 4), (2, 5), (1, 2), (4, 5)])
-    planarization, registry = build_planarization(
-        base, [((0, 2), (1, 3)), ((0, 2), (4, 5))])
-    from nicplanar.planarity import test_planarity
-    result = test_planarity(planarization)
-    assert result.planar
-    rotations = tuple(result.rotations[v] for v in range(planarization.n))
-    report = verify_nic(NicEmbedding(base, planarization, rotations, registry))
+    report = verify_nic(planarity_embedded(
+        base, [((0, 2), (1, 3)), ((0, 2), (4, 5))]))
     rules = {v.rule for v in report.violations}
     assert "edge-crossed-once" in rules
 
 
 def test_adjacent_edges_cannot_cross():
     base = new_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    planarization, registry = build_planarization(base, [((0, 1), (0, 2))])
-    from nicplanar.planarity import test_planarity
-    result = test_planarity(planarization)
-    rotations = tuple(result.rotations[v] for v in range(planarization.n))
-    report = verify_nic(NicEmbedding(base, planarization, rotations, registry))
+    report = verify_nic(planarity_embedded(base, [((0, 1), (0, 2))]))
     rules = {v.rule for v in report.violations}
     assert "crossing-pair-disjoint" in rules
 
@@ -173,24 +170,15 @@ def test_sharing_two_vertices_detected():
     # two K4s glued along the edge 2-3, both drawn as kites
     edges = list(combinations(range(4), 2)) + [(2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
     base = new_graph(6, edges)
-    planarization, registry = build_planarization(
-        base, [((0, 2), (1, 3)), ((2, 4), (3, 5))])
-    from nicplanar.planarity import test_planarity
-    result = test_planarity(planarization)
-    assert result.planar
-    rotations = tuple(result.rotations[v] for v in range(planarization.n))
-    report = verify_nic(NicEmbedding(base, planarization, rotations, registry))
+    report = verify_nic(planarity_embedded(
+        base, [((0, 2), (1, 3)), ((2, 4), (3, 5))]))
     rules = {v.rule for v in report.violations}
     assert "crossing-pairs-share-le-one" in rules
 
 
 def test_unregistered_edge_detected():
     base = new_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-    planarization, registry = build_planarization(base, [((0, 2), (1, 3))])
-    from nicplanar.planarity import test_planarity
-    result = test_planarity(planarization)
-    rotations = tuple(result.rotations[v] for v in range(planarization.n))
-    report = verify_nic(NicEmbedding(base, planarization, rotations, registry))
+    report = verify_nic(planarity_embedded(base, [((0, 2), (1, 3))]))
     rules = {v.rule for v in report.violations}
     assert "registry-edges-in-base" in rules
 
@@ -200,8 +188,7 @@ def test_broken_alternation_detected():
     rotations = list(emb.rotations)
     a, b, c, d = rotations[4]
     rotations[4] = (a, c, b, d)
-    twisted = NicEmbedding(emb.base, emb.planarization, tuple(rotations),
-                           emb.registry)
+    twisted = NicEmbedding(emb.base, emb.registry.pairs(), tuple(rotations))
     for _ in range(2):
         report = verify_nic(twisted)
         rules = {v.rule for v in report.violations}
@@ -210,23 +197,48 @@ def test_broken_alternation_detected():
             trace_faces(twisted)
 
 
-def test_embed_with_crossings_strict_rejects_bad_input():
+def test_embed_with_crossings_rejects_bad_input():
     base = new_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     with pytest.raises(ValueError):
         embed_with_crossings(base, [((0, 1), (0, 2))])
 
 
-# --- derived graphs ---
+# --- the planarization derived from the pairs ---
 
 
-def test_planar_reduction_and_skeleton():
-    emb = kite_k4()
-    reduced = planar_reduction(emb)
-    assert reduced.m == 5
-    assert (0, 2) in reduced.edge_set and (1, 3) not in reduced.edge_set
-    skeleton = planar_skeleton(emb)
-    assert skeleton.m == 4
-    assert skeleton.edge_set == {(0, 1), (1, 2), (2, 3), (0, 3)}
+@st.composite
+def graphs_with_crossing_lists(draw):
+    """Random graphs with crossing lists drawn over all vertex pairs, so
+    pairs may share endpoints, repeat edges or use non-edges."""
+    n = draw(st.integers(2, 8))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    ends = st.tuples(st.sampled_from(pairs), st.booleans()).map(
+        lambda t: t[0][::-1] if t[1] else t[0])
+    crossings = draw(st.lists(st.tuples(ends, ends), max_size=4))
+    return new_graph(n, edges), crossings
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_crossing_lists())
+def test_planarization_is_derived_from_the_pairs(case):
+    base, crossings = case
+    # a one-shot iterator is read once
+    emb = NicEmbedding(base, iter(crossings), ())
+    assert [entry.dummy for entry in emb.registry] == [
+        base.n + i for i in range(len(crossings))]
+    assert emb.planarization.n == base.n + len(crossings)
+    crossed = {tuple(sorted(e)) for pair in crossings for e in pair}
+    expected = {e for e in base.edges if e not in crossed}
+    for i, (e1, e2) in enumerate(crossings):
+        expected.update((u, base.n + i) for u in set(e1 + e2))
+    assert emb.planarization.edge_set == expected
+    rotations = emb.planarization.adjacency
+    assert verify_nic(NicEmbedding(base, crossings, rotations)).checked == (
+        "registry-edges-in-base", "edge-crossed-once",
+        "crossing-pair-disjoint", "crossing-pairs-share-le-one",
+        "dummy-numbering", "planarization-edges", "dummy-alternation",
+        "spherical")
 
 
 # --- JSON interchange ---
@@ -267,6 +279,25 @@ def test_json_oversized_vertex_count_is_a_parse_error(monkeypatch):
     text = embedding_to_json(kite_k4())
     monkeypatch.setattr(graph_module, "MAX_VERTICES", 3)
     with pytest.raises(ParseError, match="vertex count 4 exceeds the limit 3"):
+        embedding_from_json(text)
+
+
+#: documents that parse when a JSON boolean passes for the integer 0 or 1
+_BOOLEAN_IDS = [
+    '{"n": true, "edges": [], "crossings": [], "rotations": {}}',
+    '{"n": 3, "edges": [[0, true], [1, 2], [0, 2]], "crossings": [], '
+    '"rotations": {"0": [1, 2], "1": [0, 2], "2": [0, 1]}}',
+    embedding_to_json(kite_k4()).replace("[[0, 2], [1, 3]]",
+                                         "[[0, 2], [true, 3]]"),
+    embedding_to_json(kite_k4()).replace('"0": [1,', '"0": [true,'),
+]
+
+
+@pytest.mark.parametrize("text", _BOOLEAN_IDS,
+                         ids=["n", "edge", "crossing", "rotation"])
+def test_json_booleans_are_no_vertex_ids(text):
+    assert "true" in text
+    with pytest.raises(ParseError):
         embedding_from_json(text)
 
 
@@ -323,6 +354,8 @@ _structured_doc = st.fixed_dictionaries({
 
 @given(st.binary(max_size=32) | st.text(max_size=16) |
        _json_values.map(json.dumps) | _mutated_kite_doc() | _structured_doc)
+@example(_BOOLEAN_IDS[0])
+@example(_BOOLEAN_IDS[1])
 def test_json_fuzz_parses_or_raises_parse_error(text):
     try:
         emb = embedding_from_json(text)
@@ -330,3 +363,7 @@ def test_json_fuzz_parses_or_raises_parse_error(text):
         return
     assert isinstance(emb, NicEmbedding)
     assert len(emb.rotations) == emb.planarization.n
+    ids = [emb.base.n, *(v for e in emb.base.edges for v in e),
+           *(v for entry in emb.registry for e in entry.pair for v in e),
+           *(v for rot in emb.rotations for v in rot)]
+    assert all(type(v) is int for v in ids)

@@ -288,10 +288,9 @@ class TestGadgetTransform:
         # pull the crossings apart onto vertex-disjoint middles.
         base = new_graph(6, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 4), (1, 5), (4, 5)])
         crossings = [((0, 2), (1, 3)), ((0, 4), (1, 5))]
-        raw = embed_with_crossings(base, crossings, strict=False)
-        assert [v.rule for v in verify_nic(raw).violations] == [
-            "crossing-pairs-share-le-one"
-        ]
+        with pytest.raises(ValueError, match=r"1 violation\(s\):\n"
+                           r"  \[crossing-pairs-share-le-one\]"):
+            embed_with_crossings(base, crossings)
 
         emb = np_gadget_embedding(base, crossings)
         assert verify_nic(emb).ok

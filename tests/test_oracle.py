@@ -20,8 +20,7 @@ from nicplanar.generate import gen_optimal, gen_sparsest
 from nicplanar.graph import new_graph
 from nicplanar.k4 import list_k4
 from nicplanar.oracle import brute_k4_catalog, oracle_maximal_nic
-from nicplanar.planarity import test_planarity as planarity_check
-from nicplanar.recognize import KiteSet, build_star_graph, recognize_optimal, reinsert_kites
+from nicplanar.recognize import embed_from_star_graph, recognize_optimal
 
 
 def complete_graph(n):
@@ -169,10 +168,6 @@ class TestSoundness:
         res = oracle_maximal_nic(g, optimal=optimal)
         assert res.feasible
         for kites in res.kite_sets:
-            star = build_star_graph(g, kites)
-            planarity = planarity_check(star)
-            assert planarity.planar
-            rotations = tuple(planarity.rotations[v] for v in range(star.n))
-            emb = reinsert_kites(g, rotations, kites)
-            assert verify_nic(emb).ok
+            emb = embed_from_star_graph(g, kites)
+            assert emb is not None and verify_nic(emb).ok
             assert len(emb.registry) == len(kites.quads)

@@ -37,19 +37,13 @@ from nicplanar.recognize import (
     KiteSet,
     build_star_graph,
     embed_from_kites,
+    embed_from_star_graph,
     recognize_optimal,
-    reinsert_kites,
 )
 
 
 def complete_graph(n):
     return new_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def solved_rotations(g):
-    result = planarity_check(g)
-    assert result.planar
-    return tuple(result.rotations[v] for v in range(g.n))
 
 
 class TestDomainScreens:
@@ -284,8 +278,7 @@ class TestKiteReinsertion:
     def test_single_kite_round_trip(self):
         g = complete_graph(4)
         kites = KiteSet(((0, 1, 2, 3),))
-        star = build_star_graph(g, kites)
-        emb = reinsert_kites(g, solved_rotations(star), kites)
+        emb = embed_from_star_graph(g, kites)
         assert emb.base.edges == g.edges
         assert len(emb.registry) == 1
         entry = emb.registry.entries[0]
@@ -298,7 +291,7 @@ class TestKiteReinsertion:
 
     def test_empty_kite_set_round_trip(self):
         g = new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        emb = reinsert_kites(g, solved_rotations(g), KiteSet(()))
+        emb = embed_from_star_graph(g, KiteSet(()))
         assert emb.base.edges == g.edges
         assert emb.planarization.edges == g.edges
         assert len(emb.registry) == 0
@@ -342,11 +335,6 @@ def relabeled_drum(k, seed):
     return new_graph(g.n, edges), perm
 
 
-def star_graph_embedding(g, kites):
-    star = build_star_graph(g, kites)
-    return reinsert_kites(g, solved_rotations(star), kites)
-
-
 class TestUniqueEmbedding:
     """The recognizer finds the drum's one embedding under any labeling."""
 
@@ -371,7 +359,7 @@ class TestEmbeddingFromKites:
         g, _ = relabeled_drum(k, 104729 * k)
         kites = recognize_optimal(g).kites
         fast = embed_from_kites(g, kites)
-        slow = star_graph_embedding(g, kites)
+        slow = embed_from_star_graph(g, kites)
         assert fast is not None and verify_nic(fast).ok
         assert fast.planarization == slow.planarization
         assert fast.registry == slow.registry
@@ -410,8 +398,8 @@ class TestEmbeddingFromKites:
             emb = embed_from_kites(graph, kites)
             rotations = list(emb.rotations)
             rotations[0] = rotations[0][::-1]
-            return NicEmbedding(emb.base, emb.planarization,
-                                tuple(rotations), emb.registry)
+            return NicEmbedding(emb.base, emb.registry.pairs(),
+                                tuple(rotations))
 
         def counted(graph, kites):
             fallbacks.append(len(kites))
