@@ -46,7 +46,8 @@ from .embedding import (
     NicEmbedding,
     VerificationReport,
     Violation,
-    embed_with_crossings,
+    certified,
+    replace_faces,
     trace_faces,
 )
 from .errors import (
@@ -637,7 +638,31 @@ def kite_flip(emb: NicEmbedding, kite: Iterable[int],
     pairs = list(emb.registry.pairs())
     wx, uv = site.tetra_edge, site.shared_edge
     pairs[entry_index] = (wx, uv) if wx < uv else (uv, wx)
-    return embed_with_crossings(emb.base, pairs)
+    d = emb.registry.entries[entry_index].dummy
+    rotations = replace_faces(emb.rotations, *_flip_faces(emb, d, wx, uv))
+    return certified(NicEmbedding(emb.base, pairs, rotations))
+
+
+def _flip_faces(emb: NicEmbedding, d: int, wx: Edge, uv: Edge):
+    """The faces that change when ``wx`` moves from crossing ``d`` onto
+    ``uv``, as the lists (old, new).
+
+    The four faces around ``d``, (r_j, d, r_{j+1}) for its rotation
+    (p, r_1, q, r_3) with p-q the partner of ``wx``, become the
+    triangles (p, r_3, q) and (q, r_1, p); the two triangles on ``uv``,
+    (u, v, a) and (v, u, b), become the faces around ``d`` on the quad
+    u -> b -> v -> a.  ``d`` keeps its id.
+    """
+    rot = emb.rotations[d]
+    j = 0 if rot[0] not in wx else 1
+    p, r1, q, r3 = rot[j:] + rot[:j]
+    u, v = uv
+    rot_u, rot_v = emb.rotations[u], emb.rotations[v]
+    a = rot_v[(rot_v.index(u) + 1) % len(rot_v)]
+    b = rot_u[(rot_u.index(v) + 1) % len(rot_u)]
+    old = [(p, d, r1), (r1, d, q), (q, d, r3), (r3, d, p), (u, v, a), (v, u, b)]
+    new = [(u, b, d), (b, v, d), (v, a, d), (a, u, d), (p, r3, q), (q, r1, p)]
+    return old, new
 
 
 def _resolve_kite(emb: NicEmbedding, vertices: set[int]) -> int:

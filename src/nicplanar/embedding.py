@@ -159,30 +159,68 @@ class VerificationReport:
 # --- construction ---
 
 
-def rotations_from_triangles(n: int, faces) -> tuple[tuple[int, ...], ...]:
-    """Rotation system whose faces are the given oriented triangles.
+def rotations_from_faces(n: int, faces) -> tuple[tuple[int, ...], ...]:
+    """Rotation system whose faces are the given oriented corner cycles.
 
-    A face (a, b, c) is walked a -> b -> c -> a, so at each corner it
-    fixes one successor: leaving b after arriving from a goes to c.
-    Following the successors around a vertex yields its rotation.  A
-    vertex whose successors do not form one cycle over its neighbours
-    gets a rotation that is not a permutation of them, which the
-    ``verify_nic`` self-check then rejects.
+    Following the successors the faces fix around a vertex (see
+    ``_fix_successors``) yields its rotation.  A vertex whose successors
+    do not form one cycle over its neighbours gets a rotation that is
+    not a permutation of them, which the ``verify_nic`` self-check then
+    rejects.
     """
     succ: list[dict[int, int]] = [{} for _ in range(n)]
-    for a, b, c in faces:
-        succ[b][a] = c
-        succ[c][b] = a
-        succ[a][c] = b
-    rotations = []
-    for nxt in succ:
-        rot: list[int] = []
-        w = next(iter(nxt), None)
-        while w is not None and len(rot) < len(nxt):
-            rot.append(w)
-            w = nxt.get(w)
-        rotations.append(tuple(rot))
+    _fix_successors(succ, faces)
+    return tuple(map(_rotation_from_successors, succ))
+
+
+def replace_faces(rotations, old, new) -> tuple[tuple[int, ...], ...]:
+    """``rotations`` with the faces ``old`` swapped for ``new``.
+
+    Only the corners of these faces get new rotations: each keeps the
+    successors of its rotation that no old face fixed, and takes those
+    the new faces fix.  As with ``rotations_from_faces``, a result that
+    is not a rotation system is left to ``verify_nic`` to reject.
+    """
+    rotations = list(rotations)
+    corners = {z for face in (*old, *new) for z in face}
+    dropped: dict[int, dict[int, int]] = {z: {} for z in corners}
+    _fix_successors(dropped, old)
+    succ = {}
+    for z in corners:
+        rot = rotations[z]
+        succ[z] = {x: y for x, y in zip(rot, rot[1:] + rot[:1])
+                   if x not in dropped[z]}
+    _fix_successors(succ, new)
+    for z in corners:
+        rotations[z] = _rotation_from_successors(succ[z])
     return tuple(rotations)
+
+
+def _fix_successors(succ, faces) -> None:
+    """Record in ``succ[v]`` the successor each face fixes at corner v.
+
+    A face (f_0, ..., f_{l-1}) is walked f_0 -> f_1 -> ... -> f_0, so
+    leaving f_j after arriving from f_{j-1} goes to f_{j+1}:
+    ``succ[f_j][f_{j-1}] = f_{j+1}``.
+    """
+    for face in faces:
+        prev, at = face[-2], face[-1]
+        for nxt in face:
+            succ[at][prev] = nxt
+            prev, at = at, nxt
+
+
+def _rotation_from_successors(nxt: dict[int, int]) -> tuple[int, ...]:
+    """One vertex's rotation, read off its successor map; cut short if
+    the map is not one cycle."""
+    rot: list[int] = []
+    w = next(iter(nxt), None)
+    for _ in nxt:  # at most one step per neighbour
+        if w is None:
+            break
+        rot.append(w)
+        w = nxt.get(w)
+    return tuple(rot)
 
 
 def _alternates(rot, entry) -> bool:
@@ -367,14 +405,17 @@ def verify_nic(emb: NicEmbedding) -> VerificationReport:
                         f"{entry.pair} share vertices {list(key)}",
                     ))
 
-    for entry in entries:
-        rot = emb.rotations[entry.dummy]
-        if len(rot) == 4 and not _alternates(rot, entry):
-            violations.append(Violation(
-                "dummy-alternation",
-                f"rotation {rot} at {emb.vertex_name(entry.dummy)} does not "
-                f"alternate the crossed edges {entry.pair}",
-            ))
+    # with too few or too many rotations the dummies' rotations are not
+    # known; trace_faces reports the count under "spherical"
+    if len(emb.rotations) == emb.planarization.n:
+        for entry in entries:
+            rot = emb.rotations[entry.dummy]
+            if len(rot) == 4 and not _alternates(rot, entry):
+                violations.append(Violation(
+                    "dummy-alternation",
+                    f"rotation {rot} at {emb.vertex_name(entry.dummy)} does "
+                    f"not alternate the crossed edges {entry.pair}",
+                ))
 
     try:
         trace_faces(emb)

@@ -1,10 +1,13 @@
 """Planarity testing with rotation system extraction.
 
 Thin contract over the left-right planarity test from networkx, which
-is imported on the first call: recognizing an optimal graph and every
-rejection screen run without it.  The returned rotation system is not
-re-checked here.  The recognizer and ``embed_with_crossings`` pass the
-embedding they build from it through ``verify_nic``, whose face walk
+is imported on the first call.  Its callers are the recognizer's
+star-graph fallback, ``embed_with_crossings`` (used by that fallback and
+by ``np_gadget_embedding``) and the brute-force oracle; recognizing an
+optimal graph, every rejection screen, the family generators, the
+verifiers and the dual run without it.  The returned rotation system is
+not re-checked here.  The recognizer and ``embed_with_crossings`` pass
+the embedding they build from it through ``verify_nic``, whose face walk
 (``trace_faces``) checks the neighbour permutations, connectivity and
 Euler's formula once.
 """

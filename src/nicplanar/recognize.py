@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from .embedding import (
     NicEmbedding,
     embed_with_crossings,
-    rotations_from_triangles,
+    rotations_from_faces,
     verify_nic,
 )
 from .graph import Edge, Graph, is_biconnected, new_graph
@@ -308,5 +308,5 @@ def embed_from_kites(g: Graph, kites: KiteSet) -> NicEmbedding | None:
         return None
 
     pairs = [((a, c), (b, d)) for a, b, c, d in cycles]
-    rotations = rotations_from_triangles(n + len(pairs), faces)
+    rotations = rotations_from_faces(n + len(pairs), faces)
     return NicEmbedding(g, pairs, rotations)

@@ -474,26 +474,43 @@ import io
 import json
 import sys
 from nicplanar.cli import main
-emb, = sys.argv[1:]
-with contextlib.redirect_stdout(io.StringIO()) as out:
-    codes = [main(["generate", "optimal", "--k", "5"])]
-with open(emb, "w") as fh:
-    json.dump(json.loads(out.getvalue())["embedding"], fh)
-with contextlib.redirect_stdout(io.StringIO()):
-    codes += [main(["verify", "--maximal", emb]), main(["dual", emb])]
+emb, *members = sys.argv[1:]
+codes = []
+for member in members:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        codes.append(main(["generate", *member.split()]))
+    with open(emb, "w") as fh:
+        json.dump(json.loads(out.getvalue())["embedding"], fh)
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes += [main(["verify", "--maximal", emb]), main(["dual", emb])]
 print(json.dumps({"codes": codes, "networkx": "networkx" in sys.modules}))
 """
 
+#: one member of every family, each construction of the sparsest and the
+#: intermediate families included
+FAMILY_MEMBERS = [
+    "optimal --k 5",
+    "sparsest --k 1", "sparsest --k 2", "sparsest --k 3",
+    "intermediate --k 2 --i 1", "intermediate --k 4 --i 2",
+    "intermediate --k 2 --i 3", "intermediate --k 2 --i 4",
+    "nested-k5 --k 3 --variant 1",
+    "rac-counterexample",
+]
+
 
 def test_analysis_does_not_import_networkx(tmp_path):
-    # the drum's embedding is read off its faces, and the dual's planarity
-    # follows from its construction, so none of the three runs a planarity test
+    # every family lists its own faces, and the dual's planarity follows
+    # from its construction, so none of the runs tests planarity
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(nicplanar.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-c", NO_NETWORKX_ANALYSIS_SCRIPT,
-         str(tmp_path / "drum.json")],
+         str(tmp_path / "member.json"), *FAMILY_MEMBERS],
         capture_output=True, text=True, env=env, check=True)
-    assert json.loads(result.stdout) == {"codes": [0, 0, 0], "networkx": False}
+    # the RAC witness has 4-faces: verify --maximal rejects it (1) and
+    # dual refuses it (2)
+    expected = [0, 0, 0] * (len(FAMILY_MEMBERS) - 1) + [0, 1, 2]
+    assert json.loads(result.stdout) == {"codes": expected, "networkx": False}

@@ -64,6 +64,17 @@ def flip_fixture():
     return embed_with_crossings(new_graph(6, edges), [((2, 3), (4, 5))])
 
 
+def oriented_faces(emb, mirrored=False):
+    """Face cycles, each started at its least corner; reversed if
+    ``mirrored``."""
+    out = set()
+    for face in trace_faces(emb):
+        c = face.corners[::-1] if mirrored else face.corners
+        i = c.index(min(c))
+        out.add(c[i:] + c[:i])
+    return out
+
+
 def tri_face(a, b, c):
     return Face((a, b, c))
 
@@ -573,6 +584,30 @@ class TestKiteFlip:
         site = find_flips(emb)[0]
         flipped = kite_flip(emb, (2, 3, 16, 17, 23), site.pair)
         assert flipped.registry.pairs()[5] == ((0, 17), (2, 16))
+
+    # the dual-analysed optimal and sparsest members and intermediate
+    # (12, 1), (12, 2) and (14, 4) have no flip sites
+    @pytest.mark.parametrize("make", [
+        flip_fixture,
+        lambda: gen_densest_intermediate(12, 3).embedding,
+        *(lambda v=v: gen_nested_k5(4, v).embedding for v in range(8)),
+        *(lambda v=v: gen_nested_k5(6, v).embedding for v in (0, 13, 31)),
+    ], ids=["fixture", "intermediate-12-3",
+            *(f"nested-4-{v}" for v in range(8)),
+            "nested-6-0", "nested-6-13", "nested-6-31"])
+    def test_local_rewiring_matches_the_planarity_path(self, make):
+        # the flip rewires rotations around the kite and the triangle
+        # pair; embedding the flipped crossings from scratch must give the
+        # same faces, up to mirror image
+        emb = make()
+        sites = find_flips(emb)
+        assert sites
+        for site in sites:
+            flipped = kite_flip(emb, site.kite, site.pair)
+            reference = embed_with_crossings(emb.base, flipped.registry.pairs())
+            faces = oriented_faces(flipped)
+            assert faces in (oriented_faces(reference),
+                             oriented_faces(reference, mirrored=True))
 
     @pytest.mark.parametrize("make", [
         flip_fixture,

@@ -197,6 +197,23 @@ def test_broken_alternation_detected():
             trace_faces(twisted)
 
 
+@pytest.mark.parametrize("rotations", [
+    (),  # none at all: the dummy's rotation does not exist
+    kite_k4().rotations + ((),),  # one more than the planarization has
+], ids=["missing", "extra"])
+def test_rotation_count_mismatch_is_reported_not_raised(rotations):
+    report = verify_nic(NicEmbedding(complete(4), [((0, 2), (1, 3))], rotations))
+    assert [v.rule for v in report.violations] == ["spherical"]
+    assert "size differs" in report.violations[0].message
+
+
+def test_overlong_dummy_rotation_is_reported_not_raised():
+    emb = kite_k4()
+    rotations = emb.rotations[:4] + (emb.rotations[4] + (0,),)
+    report = verify_nic(NicEmbedding(emb.base, emb.registry.pairs(), rotations))
+    assert [v.rule for v in report.violations] == ["spherical"]
+
+
 def test_embed_with_crossings_rejects_bad_input():
     base = new_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     with pytest.raises(ValueError):

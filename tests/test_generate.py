@@ -1,10 +1,13 @@
 """Generator families: frozen sizes, density targets, and verifier gates."""
 
+from collections import Counter
+
 import pytest
 
 import nicplanar.generate as generate_module
 import nicplanar.graph as graph_module
 from nicplanar.embedding import (
+    NicEmbedding,
     embed_with_crossings,
     embedding_to_json,
     trace_faces,
@@ -32,6 +35,14 @@ def complete_graph(n):
     return new_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def assert_matches_planarity_path(inst):
+    # the member lists its own faces; the planarity path on the same edges
+    # and crossings must give the same embedding, orientation included
+    emb = inst.embedding
+    reference = embed_with_crossings(emb.base, emb.registry.pairs())
+    assert embedding_to_json(emb) == embedding_to_json(reference), inst.params
+
+
 class TestOptimalFamily:
     @pytest.mark.parametrize("k", [2, 3, 5, 10])
     def test_counts(self, k):
@@ -57,13 +68,8 @@ class TestOptimalFamily:
         assert verify_maximal_embedding(emb).ok
 
     def test_drum_rotations_match_planarity_path(self):
-        # the drum lists its own faces; the planarity path on the same
-        # edges and crossings must give the same embedding, orientation
-        # included
         for k in range(2, 41):
-            emb = gen_optimal(k).embedding
-            reference = embed_with_crossings(emb.base, emb.registry.pairs())
-            assert embedding_to_json(emb) == embedding_to_json(reference)
+            assert_matches_planarity_path(gen_optimal(k))
 
     def test_k2_has_exactly_six_k4(self):
         g = gen_optimal(2).graph
@@ -232,6 +238,53 @@ class TestPlanarizationLimit:
                            match=f"planarization has {size} vertices, "
                                  f"above the limit {size - 1}"):
             gen(*args)
+
+
+class TestFacesMatchPlanarityPath:
+    def test_sparsest(self):
+        for k in range(1, 31):
+            assert_matches_planarity_path(gen_sparsest(k))
+
+    @pytest.mark.parametrize("i, ks", [
+        (1, range(2, 31)),
+        (2, range(4, 41, 4)),
+        (3, range(2, 31)),
+        (4, range(2, 43, 4)),
+    ])
+    def test_intermediate(self, i, ks):
+        for k in ks:
+            assert_matches_planarity_path(gen_densest_intermediate(k, i))
+
+    def test_nested_every_variant(self):
+        for k in range(2, 7):
+            for variant in range(nested_k5_variant_count(k)):
+                assert_matches_planarity_path(gen_nested_k5(k, variant))
+
+    def test_rac_fans_sit_on_the_drum(self):
+        # the fans' degree-2 vertices leave the planarization without a
+        # unique embedding, so the planarity path may place them
+        # elsewhere; with the fans deleted, both embeddings are the
+        # k = 2 drum's, orientation included
+        emb = gen_rac_counterexample().embedding
+        reference = embed_with_crossings(emb.base, emb.registry.pairs())
+        drum = gen_optimal(2).embedding
+        n = drum.base.n
+        shift = emb.base.n - n
+
+        def without_fans(e):
+            kept = list(range(n)) + [entry.dummy for entry in e.registry]
+            rotations = tuple(
+                tuple(w if w < n else w - shift
+                      for w in e.rotations[v] if w < n or e.is_dummy(w))
+                for v in kept)
+            return embedding_to_json(
+                NicEmbedding(drum.base, e.registry.pairs(), rotations))
+
+        assert (without_fans(emb) == without_fans(reference)
+                == embedding_to_json(drum))
+        # each planar edge's seven fans fill the face it shares with its kite
+        sizes = Counter(len(f) for f in trace_faces(emb))
+        assert sizes == {3: 8 + 24, 4: 24 * 7}
 
 
 class TestRacCounterexample:
