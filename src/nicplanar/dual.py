@@ -13,7 +13,8 @@ On valid maximal embeddings the dual is simple, planar and
 edges of a planarization whose faces ``trace_faces`` has already found
 spherical, and each node's face group is connected in that plane dual,
 so the dual is one of its contractions.  ``check_dual_structure``
-therefore checks only simplicity and 3-connectivity.
+therefore checks only simplicity and 3-connectivity, reading the
+latter off the dual's faces in linear time.
 
 The adjacency obeys five local rules (no two kite nodes touch;
 tetrahedron nodes touch only kite nodes and marked triangle nodes;
@@ -56,7 +57,7 @@ from .errors import (
     NotMaximalEmbedding,
     PreconditionViolated,
 )
-from .graph import Edge, Graph, is_triconnected, new_graph
+from .graph import Edge
 
 KITE = "kite"
 TETRAHEDRON = "tetrahedron"
@@ -116,10 +117,6 @@ class GeneralizedDual:
             adj[link.a].append(link.b)
             adj[link.b].append(link.a)
         return adj
-
-    def skeleton(self) -> Graph:
-        pairs = {(min(l.a, l.b), max(l.a, l.b)) for l in self.links}
-        return new_graph(len(self.nodes), sorted(pairs))
 
     def node_identity(self, idx: int) -> tuple[int, ...]:
         """Sorted vertex set of the node's primal face group."""
@@ -245,16 +242,13 @@ _RULE_NAMES = (
 )
 
 
-def check_adjacency_rules(dual: GeneralizedDual,
-                          host: Graph | None = None) -> VerificationReport:
+def check_adjacency_rules(dual: GeneralizedDual) -> VerificationReport:
     """The five local adjacency rules plus the degree law.
 
-    ``host`` is the graph whose embedding the dual came from; it is only
-    consulted for the tetrahedral-edge lookup of the unmarked-pair rule
-    and defaults to the embedding's base graph.
+    The unmarked-pair rule looks its tetrahedral edge up in the base
+    graph of the dual's embedding.
     """
-    if host is None:
-        host = dual.embedding.base
+    host = dual.embedding.base
     nodes = dual.nodes
     marked = dual.marked_flags()
     violations: list[Violation] = []
@@ -344,7 +338,20 @@ def check_dual_structure(dual: GeneralizedDual) -> tuple[Violation, ...]:
     """Simplicity and 3-connectivity of the dual graph.
 
     Planarity is not tested: every dual ``build_dual`` returns is planar,
-    being a contraction of the dual of a spherical planarization.
+    being a contraction of the dual of a spherical planarization.  Its
+    faces are the primal vertices that no node has as its anchor, and
+    node X lies on face v exactly when v is one of X's corners; X's
+    faces around v are consecutive in v's rotation, so no face repeats
+    a node.  A plane graph with at least four vertices is 3-connected
+    exactly when any two faces meet in nothing, one vertex or one edge
+    (Mohar and Thomassen, *Graphs on Surfaces*, 2001).  A node has at
+    most four corners, so the nodes on each pair of faces are counted
+    in O(n).  Faces u, v on three common nodes fail.  On two, X and Y,
+    they meet in an edge when u-v is a planarization edge, whose link
+    joins X and Y.  They also pass when X and Y are linked otherwise:
+    X and Y are then two kites whose parallel links (``dual-simple``)
+    enclose a digon face, and 3-connectivity is judged with parallel
+    links merged, which puts the link X-Y on both u and v.
     """
     violations: list[Violation] = []
     seen: dict[tuple[int, int], int] = {}
@@ -357,16 +364,28 @@ def check_dual_structure(dual: GeneralizedDual) -> tuple[Violation, ...]:
             "dual-simple",
             f"parallel dual edges between node pairs {sorted(doubled)}",
         ))
-    skeleton = dual.skeleton()
-    if skeleton.n < 4:
+    if len(dual.nodes) < 4:
         violations.append(Violation(
             "dual-triconnected",
-            f"dual has only {skeleton.n} nodes, 3-connectivity undefined",
+            f"dual has only {len(dual.nodes)} nodes, 3-connectivity undefined",
         ))
-    elif not is_triconnected(skeleton):
+    elif not _faces_meet_properly(dual, seen):
         violations.append(Violation(
             "dual-triconnected", "dual graph is not 3-connected"))
     return tuple(violations)
+
+
+def _faces_meet_properly(dual: GeneralizedDual,
+                         linked: dict[tuple[int, int], int]) -> bool:
+    holders: dict[tuple[int, int], list[int]] = {}
+    for idx, node in enumerate(dual.nodes):
+        corners = [v for v in dual.node_identity(idx) if v != node.anchor]
+        for i, u in enumerate(corners):
+            for v in corners[i + 1:]:
+                holders.setdefault((u, v), []).append(idx)
+    adjacent = dual.embedding.planarization.has_edge
+    return all(len(on) == 1 or len(on) == 2 and (
+        adjacent(*pair) or tuple(on) in linked) for pair, on in holders.items())
 
 
 def is_kite_triangle_bipartite(dual: GeneralizedDual) -> bool:

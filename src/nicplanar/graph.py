@@ -271,26 +271,15 @@ def is_biconnected(g: Graph) -> bool:
         return True
     if g.n == 2:
         return g.m == 1
-    return _biconnected_without(g, -1)
-
-
-def _biconnected_without(g: Graph, skip: int) -> bool:
-    """Lowpoint test that ``g`` minus vertex ``skip`` (none if -1) is
-    biconnected; the graph left over must have at least three vertices."""
     adj = g.adjacency
     disc = [-1] * g.n
     low = [0] * g.n
     parent = [-1] * g.n
     cursor = [0] * g.n
-    root = 0
-    if skip >= 0:
-        # A discovery time no lowpoint reaches hides ``skip`` from the search.
-        disc[skip] = g.n
-        root = 1 if skip == 0 else 0
-    disc[root] = low[root] = 0
+    disc[0] = low[0] = 0
     clock = 1
     root_children = 0
-    stack = [root]
+    stack = [0]
     while stack:
         v = stack[-1]
         if cursor[v] < len(adj[v]):
@@ -300,7 +289,7 @@ def _biconnected_without(g: Graph, skip: int) -> bool:
                 parent[w] = v
                 disc[w] = low[w] = clock
                 clock += 1
-                if v == root:
+                if v == 0:
                     root_children += 1
                 stack.append(w)
             elif w != parent[v] and disc[w] < low[v]:
@@ -311,19 +300,6 @@ def _biconnected_without(g: Graph, skip: int) -> bool:
             if p != -1:
                 if low[v] < low[p]:
                     low[p] = low[v]
-                if p != root and low[v] >= disc[p]:
+                if p != 0 and low[v] >= disc[p]:
                     return False
-    if clock < g.n - (skip >= 0):
-        return False
-    return root_children <= 1
-
-
-def is_triconnected(g: Graph) -> bool:
-    """True when no pair of vertices disconnects ``g``.
-
-    ``g`` is 3-connected exactly when ``g - v`` is biconnected for every
-    vertex v, so this runs one lowpoint search per vertex: O(n*m) time.
-    """
-    if g.n < 4:
-        raise TooSmall("triconnectivity is only defined here for n >= 4")
-    return all(_biconnected_without(g, v) for v in range(g.n))
+    return clock == g.n and root_children <= 1

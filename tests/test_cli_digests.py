@@ -6,7 +6,9 @@ A fixed command set covers ``generate`` (one member of each family),
 two-input batch), plus ``verify``, ``export`` and ``dual`` on a plane
 embedding with a cut vertex, whose outer face repeats a corner, and
 ``verify`` and ``export`` on the nested embedding with its crossing
-pairs listed unnormalized.  A
+pairs listed unnormalized, and ``dual`` on two bipyramids whose pole
+edge is crossed twice (one dual has a 2-cut, the other parallel
+links).  A
 change meant to keep CLI output byte-identical must leave every digest
 as it is; a change that alters output on purpose updates the table and
 says why.  Commands run in-process through
@@ -21,6 +23,7 @@ import hashlib
 import io
 import json
 
+from bipyramids import DOUBLE_J2, DOUBLE_J3
 from nicplanar.cli import main
 from nicplanar.generate import gen_optimal
 from nicplanar.graph import new_graph, serialize_graph
@@ -49,6 +52,8 @@ ANALYSE = {
     "dual bowtie": ["dual", "bowtie.json"],
     "verify reversed pairs": ["verify", "reversed.json"],
     "export reversed pairs": ["export", "reversed.json"],
+    "dual double-crossed j3": ["dual", "double-j3.json"],
+    "dual double-crossed j2": ["dual", "double-j2.json"],
 }
 
 #: two triangles sharing vertex 0; its outer face repeats that cut vertex,
@@ -88,6 +93,9 @@ PINNED = {
     # those of the normalized nested embedding
     "verify reversed pairs": [0, "b22409f6aa9de667", "e3b0c44298fc1c14"],
     "export reversed pairs": [0, "037e0eb654412cde", "e3b0c44298fc1c14"],
+    # taken before the 3-connectivity check was read off the faces
+    "dual double-crossed j3": [1, "600c6af974bfdc31", "e3b0c44298fc1c14"],
+    "dual double-crossed j2": [1, "c6be6cf54e45216a", "e3b0c44298fc1c14"],
 }
 
 
@@ -112,7 +120,9 @@ def _reversed_pairs(doc: dict) -> dict:
 
 def _write_inputs(nested_doc: dict) -> None:
     for name, doc in (("nested.json", nested_doc), ("bowtie.json", BOWTIE),
-                      ("reversed.json", _reversed_pairs(nested_doc))):
+                      ("reversed.json", _reversed_pairs(nested_doc)),
+                      ("double-j3.json", DOUBLE_J3),
+                      ("double-j2.json", DOUBLE_J2)):
         with open(name, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True)
     # the four-column drum under the relabeling v -> 7v + 3 mod 22, its

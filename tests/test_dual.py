@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -28,7 +29,9 @@ from nicplanar.dual import (
 )
 from nicplanar.embedding import (
     Face,
+    NicEmbedding,
     embed_with_crossings,
+    embedding_from_json,
     trace_faces,
     verify_maximal_embedding,
     verify_nic,
@@ -45,8 +48,9 @@ from nicplanar.generate import (
     gen_optimal,
     gen_sparsest,
 )
-from nicplanar.graph import is_triconnected, new_graph
+from nicplanar.graph import new_graph
 
+from bipyramids import DOUBLE_J2, DOUBLE_J3, kited_bipyramids
 from bruteforce import brute_triconnected
 from flipcheck import flip_and_check
 
@@ -187,25 +191,40 @@ def test_family_dual_frozen_values(label, make, census, totals, grand):
     assert account.grand_total == emb.base.m - 2 * len(emb.registry)
 
 
+def link_skeleton(dual):
+    """The dual with parallel links merged, for the oracles."""
+    pairs = {(min(l.a, l.b), max(l.a, l.b)) for l in dual.links}
+    return new_graph(len(dual.nodes), sorted(pairs))
+
+
+def oracles_say_triconnected(skeleton) -> bool:
+    h = nx.Graph(skeleton.edges)
+    h.add_nodes_from(range(skeleton.n))
+    expected = brute_triconnected(skeleton)
+    assert expected == (skeleton.n >= 4 and nx.node_connectivity(h) >= 3)
+    return expected
+
+
 @pytest.mark.parametrize("label,make,census,totals,grand",
                          FAMILY_TABLE, ids=[row[0] for row in FAMILY_TABLE])
 def test_triconnectivity_matches_oracles_on_family_skeletons(
         label, make, census, totals, grand):
-    skeleton = build_dual(make().embedding).skeleton()
+    dual = build_dual(make().embedding)
+    skeleton = link_skeleton(dual)
     # check_dual_structure derives planarity from the construction
     assert nx.check_planarity(nx.Graph(skeleton.edges))[0]
-    # The skeleton itself, then about eight copies with one link removed.
-    # Kite nodes are never adjacent, so every link ends at a node of
-    # degree 3 and each removal leaves a separating pair.
-    variants = [skeleton] + [
-        new_graph(skeleton.n, skeleton.edges[:i] + skeleton.edges[i + 1:])
-        for i in range(0, skeleton.m, max(1, skeleton.m // 8))
-    ]
-    for g in variants:
-        h = nx.Graph(g.edges)
-        expected = nx.node_connectivity(h) >= 3
-        assert brute_triconnected(g) == expected
-        assert is_triconnected(g) == expected
+    reported = {v.rule for v in check_dual_structure(dual)}
+    assert ("dual-triconnected" not in reported) == oracles_say_triconnected(
+        skeleton)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kited_bipyramids())
+def test_triconnectivity_matches_oracles_on_kited_bipyramids(emb):
+    dual = build_dual(emb)
+    reported = {v.rule for v in check_dual_structure(dual)}
+    assert ("dual-triconnected" not in reported) == oracles_say_triconnected(
+        link_skeleton(dual))
 
 
 def test_bipartite_only_for_the_optimal_family():
@@ -276,9 +295,13 @@ class TestLevels:
 class TestAdjacencyRules:
     host = new_graph(6, [(2, 3)])
 
-    def rules_of(self, dual, host=None):
-        report = check_adjacency_rules(dual, host or self.host)
-        return {v.rule for v in report.violations}
+    def synthetic(self, nodes, links, faces, host=None):
+        """A synthetic dual whose embedding carries only ``host``."""
+        plain = NicEmbedding(host or self.host, [], ())
+        return synthetic(nodes, links, faces, plain)
+
+    def rules_of(self, dual):
+        return {v.rule for v in check_adjacency_rules(dual).violations}
 
     def test_checked_names_are_stable(self):
         report = check_adjacency_rules(build_dual(flip_fixture()))
@@ -293,7 +316,7 @@ class TestAdjacencyRules:
         assert report.ok
 
     def test_adjacent_kites_are_flagged(self):
-        dual = synthetic(
+        dual = self.synthetic(
             (DualNode(KITE, (0,), 90), DualNode(KITE, (1,), 91)),
             (DualLink(0, 1, (0, 1), 0, 1),),
             (tri_face(0, 1, 2), tri_face(0, 1, 3)),
@@ -301,13 +324,13 @@ class TestAdjacencyRules:
         assert "dual-rule-kite-kite" in self.rules_of(dual)
 
     def test_tetrahedron_neighbour_restrictions(self):
-        pair = synthetic(
+        pair = self.synthetic(
             (DualNode(TETRAHEDRON, (0,), 5), DualNode(TETRAHEDRON, (1,), 6)),
             (DualLink(0, 1, (0, 1), 0, 1),),
             (tri_face(0, 1, 2), tri_face(0, 1, 3)),
         )
         assert "dual-rule-tetra-neighbours" in self.rules_of(pair)
-        against_unmarked = synthetic(
+        against_unmarked = self.synthetic(
             (DualNode(TETRAHEDRON, (0,), 5), DualNode(TRIANGLE, (1,), -1)),
             (DualLink(0, 1, (0, 1), 0, 1),),
             (tri_face(0, 1, 2), tri_face(0, 1, 3)),
@@ -315,30 +338,32 @@ class TestAdjacencyRules:
         assert "dual-rule-tetra-neighbours" in self.rules_of(against_unmarked)
 
     def test_lone_tetrahedron_is_unmarked(self):
-        dual = synthetic((DualNode(TETRAHEDRON, (0,), 5),), (),
-                         (tri_face(0, 1, 2),))
+        dual = self.synthetic((DualNode(TETRAHEDRON, (0,), 5),), (),
+                              (tri_face(0, 1, 2),))
         assert "dual-rule-tetra-marked" in self.rules_of(dual)
 
     def test_unmarked_pair_needs_the_apex_edge(self):
-        dual = synthetic(
-            (DualNode(TRIANGLE, (0,), -1), DualNode(TRIANGLE, (1,), -1)),
-            (DualLink(0, 1, (0, 1), 0, 1),),
-            (tri_face(0, 1, 2), tri_face(0, 1, 3)),
-        )
-        without = new_graph(6, [(0, 1)])
-        assert "dual-rule-unmarked-pair" in self.rules_of(dual, without)
-        with_apex = new_graph(6, [(0, 1), (2, 3)])
-        assert "dual-rule-unmarked-pair" not in self.rules_of(dual, with_apex)
+        def pair_on(host):
+            return self.synthetic(
+                (DualNode(TRIANGLE, (0,), -1), DualNode(TRIANGLE, (1,), -1)),
+                (DualLink(0, 1, (0, 1), 0, 1),),
+                (tri_face(0, 1, 2), tri_face(0, 1, 3)),
+                host,
+            )
+        without = pair_on(new_graph(6, [(0, 1)]))
+        assert "dual-rule-unmarked-pair" in self.rules_of(without)
+        with_apex = pair_on(new_graph(6, [(0, 1), (2, 3)]))
+        assert "dual-rule-unmarked-pair" not in self.rules_of(with_apex)
 
     def test_two_unmarked_triangle_neighbours_are_too_many(self):
-        dual = synthetic(
+        dual = self.synthetic(
             (DualNode(TRIANGLE, (0,), -1), DualNode(TRIANGLE, (1,), -1),
              DualNode(TRIANGLE, (2,), -1)),
             (DualLink(0, 1, (0, 1), 0, 1), DualLink(0, 2, (1, 2), 0, 2)),
             (tri_face(0, 1, 2), tri_face(0, 1, 3), tri_face(1, 2, 4)),
+            new_graph(5, [(2, 3), (0, 4)]),
         )
-        host = new_graph(5, [(2, 3), (0, 4)])
-        assert "dual-rule-triangle-pair" in self.rules_of(dual, host)
+        assert "dual-rule-triangle-pair" in self.rules_of(dual)
 
     def test_octahedron_dual_breaks_the_triangle_rules(self):
         octahedron = new_graph(6, [
@@ -364,11 +389,19 @@ class TestDualStructure:
         )
         assert "dual-simple" in {v.rule for v in check_dual_structure(dual)}
 
-    def test_low_connectivity_is_reported(self):
-        nodes = tuple(DualNode(TRIANGLE, (), -1) for _ in range(4))
-        links = tuple(DualLink(i, i + 1, (i, i + 1), 0, 0) for i in range(3))
-        dual = synthetic(nodes, links)
-        assert "dual-triconnected" in {v.rule for v in check_dual_structure(dual)}
+    def test_double_crossed_pole_edge_leaves_a_two_cut(self):
+        dual = build_dual(embedding_from_json(json.dumps(DOUBLE_J3)))
+        assert [v.rule for v in check_dual_structure(dual)] == [
+            "dual-triconnected"]
+        assert check_adjacency_rules(dual).ok
+        assert not brute_triconnected(link_skeleton(dual))
+
+    def test_parallel_links_are_no_two_cut(self):
+        # the two kites share the corners 0, 1, 2 and two links around the
+        # digon face 2; merged, their links leave the dual 3-connected
+        dual = build_dual(embedding_from_json(json.dumps(DOUBLE_J2)))
+        assert [v.rule for v in check_dual_structure(dual)] == ["dual-simple"]
+        assert brute_triconnected(link_skeleton(dual))
 
     def test_tiny_duals_cannot_claim_triconnectivity(self):
         dual = synthetic((DualNode(TRIANGLE, (), -1),), ())
@@ -381,8 +414,8 @@ class TestDualStructure:
             assert check_dual_structure(build_dual(emb)) == ()
 
     def test_large_optimal_dual_is_checked_in_seconds(self):
-        dual = build_dual(gen_optimal(120).embedding)
-        assert len(dual.nodes) == 840
+        dual = build_dual(gen_optimal(480).embedding)
+        assert len(dual.nodes) == 3360
         start = time.perf_counter()
         assert check_dual_structure(dual) == ()
         assert time.perf_counter() - start < 5.0

@@ -22,7 +22,6 @@ from nicplanar.graph import (
     Graph,
     is_biconnected,
     is_connected,
-    is_triconnected,
     new_graph,
     parse_graph,
     serialize_graph,
@@ -268,23 +267,6 @@ def test_biconnected_matches_networkx(g):
     assert is_biconnected(g) == nx.is_biconnected(h)
 
 
-def test_triconnected_known_cases():
-    assert is_triconnected(complete(4))
-    assert is_triconnected(complete(5))
-    assert not is_triconnected(cycle(5))
-    k5_minus = new_graph(5, [e for e in complete(5).edges if e != (0, 1)])
-    assert is_triconnected(k5_minus)
-    # wheel on 5 spokes
-    wheel = new_graph(6, [(0, i) for i in range(1, 6)] +
-                          [(i, i % 5 + 1) for i in range(1, 6)])
-    assert is_triconnected(wheel)
-    # K4 with one subdivided edge has a separating pair
-    sub = new_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
-    assert not is_triconnected(sub)
-    with pytest.raises(TooSmall):
-        is_triconnected(complete(3))
-
-
 @given(graph_strategy(min_n=4, max_n=9))
 def test_triconnected_matches_connectivity_oracle(g):
     h = nx.Graph()
@@ -292,4 +274,3 @@ def test_triconnected_matches_connectivity_oracle(g):
     h.add_edges_from(g.edges)
     expected = nx.is_connected(h) and nx.node_connectivity(h) >= 3
     assert brute_triconnected(g) == expected
-    assert is_triconnected(g) == expected
