@@ -22,6 +22,7 @@ import json
 from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, field
 
+from . import graph as _graph
 from .errors import NonSphericalEmbedding, NotMaximalEmbedding, ParseError
 from .faces import face_walk
 from .graph import Edge, Graph, is_connected, new_graph
@@ -93,19 +94,17 @@ class NicEmbedding:
         base = self.base
         entries = []
         crossed: set[Edge] = set()
-        # a set, so malformed lists (shared endpoints, repeated edges)
+        # sets, so malformed lists (shared endpoints, repeated edges)
         # still planarize and get judged by verify_nic instead of here
-        star_edges: set[Edge] = set()
+        ends: list[set[int]] = []
         for dummy, (e1, e2) in enumerate(crossings, start=base.n):
             a, b = normalize_crossing(e1, e2)
             entries.append(CrossingEntry(dummy, a, b))
             crossed.add(a)
             crossed.add(b)
-            for u in set(a + b):
-                star_edges.add((u, dummy))
-        kept = [e for e in base.edges if e not in crossed]
-        object.__setattr__(self, "planarization", new_graph(
-            base.n + len(entries), kept + sorted(star_edges)))
+            ends.append(set(a + b))
+        object.__setattr__(self, "planarization",
+                           _planarize(base, crossed, ends))
         object.__setattr__(self, "registry", CrossingRegistry(tuple(entries)))
 
     def is_dummy(self, v: int) -> bool:
@@ -115,6 +114,45 @@ class NicEmbedding:
         """``str(v)`` for a base vertex, ``"x<i>"`` for dummy ``i``."""
         n = self.base.n
         return f"x{v - n}" if v >= n else str(v)
+
+
+def _planarize(base: Graph, crossed: set, ends: list[set]) -> Graph:
+    """``base`` without the ``crossed`` edges, plus dummy ``base.n + i``
+    joined to each vertex in ``ends[i]``.
+
+    Base rows are sorted and every dummy id exceeds every base id, so a
+    base vertex's row is its base row without its crossed partners, then
+    its dummies in ascending order, and the edges read off the rows in
+    order come out sorted.  Only when ``ends`` names something other
+    than a base vertex (a dummy id, a negative or out-of-range id, a
+    ``bool``), or the dummies pass the vertex limit, is the graph left to
+    ``new_graph``, which raises what it always has.
+    """
+    n = base.n
+    total = n + len(ends)
+    if total > _graph.MAX_VERTICES or any(
+            type(u) is not int or not 0 <= u < n for us in ends for u in us):
+        kept = [e for e in base.edges if e not in crossed]
+        star_edges = {(u, z) for z, us in enumerate(ends, start=n) for u in us}
+        return new_graph(total, kept + sorted(star_edges))
+    rows = list(base.adjacency)
+    partners: dict[int, set[int]] = {}
+    for e in crossed:
+        if e in base.edge_set:
+            u, v = e
+            partners.setdefault(u, set()).add(v)
+            partners.setdefault(v, set()).add(u)
+    for u, gone in partners.items():
+        rows[u] = tuple(w for w in rows[u] if w not in gone)
+    dummies: dict[int, list[int]] = {}
+    for z, us in enumerate(ends, start=n):
+        for u in us:
+            dummies.setdefault(u, []).append(z)
+    for u, zs in dummies.items():
+        rows[u] += tuple(zs)
+    edges = tuple((u, w) for u, row in enumerate(rows) for w in row if u < w)
+    rows.extend(tuple(sorted(us)) for us in ends)
+    return Graph(total, edges, tuple(rows), frozenset(edges))
 
 
 @dataclass(frozen=True)

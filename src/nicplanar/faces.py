@@ -9,7 +9,6 @@ graph the orbit count satisfies Euler's formula ``n - m + f = 2``.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Sequence
 
 
@@ -19,25 +18,23 @@ def face_walk(rotations: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     Each face starts at its smallest directed edge, and faces are sorted
     by it; a lone vertex ``v`` is the face ``(v,)``.  Nothing is checked:
     the caller, ``embedding.trace_faces``, already has.  Other input gives
-    wrong faces or ``KeyError``, never a loop: each step pops an edge.
+    wrong faces or raises, never a loop: each step pops an edge.
     """
-    # (u, x) -> the neighbour of x after u, along which the walk leaves x
-    succ: dict[tuple[int, int], int] = {}
-    for x, order in enumerate(rotations):
-        succ.update(zip(zip(order, repeat(x)), order[1:] + order[:1]))
-    pop = succ.pop
+    # nxt[x][u]: the neighbour of x after u, along which the walk leaves x
+    # having arrived along u -> x; popped once that edge is walked
+    nxt = [dict(zip(order, order[1:] + order[:1])) for order in rotations]
     faces: list[tuple[int, ...]] = []
     # faces through smaller vertices are already walked: v is the least corner
     for v, order in enumerate(rotations):
         if not order:
             faces.append((v,))
         for w in order:
-            if (v, w) not in succ:
+            if v not in nxt[w]:
                 continue
             corners = [v]
             u, x = v, w
             while True:
-                u, x = x, pop((u, x))
+                u, x = x, nxt[x].pop(u)
                 if u == v and x == w:
                     break
                 corners.append(u)

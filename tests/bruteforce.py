@@ -2,13 +2,14 @@
 
 Everything here is deliberately naive and independent of the package
 internals: planarity via Kuratowski subdivision search, 3-connectivity
-by deleting every vertex pair, K4 listing via subset enumeration.
-Sizes are capped accordingly.
+by deleting every vertex pair, K4 listing via subset enumeration, faces
+by a walk over one dictionary keyed by directed edge.  Sizes are capped
+accordingly.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 
 from hypothesis import strategies as st
 
@@ -218,3 +219,42 @@ def brute_k5_sets(g: Graph) -> list[tuple[int, ...]]:
         if all(g.has_edge(u, v) for u, v in combinations(five, 2)):
             out.append(five)
     return out
+
+
+# --- faces ---
+
+
+def brute_face_walk(rotations) -> list[tuple[int, ...]]:
+    """Faces of a rotation system, in ``faces.face_walk``'s form.
+
+    One dictionary maps each directed edge (u, x) to the neighbour of x
+    after u; a face is walked by popping edges until the first returns.
+    Each face starts at its least corner, at the occurrence followed by
+    the least corner when a cut vertex repeats; a lone vertex v is the
+    face ``(v,)``; faces are sorted.
+    """
+    succ: dict[tuple[int, int], int] = {}
+    for x, order in enumerate(rotations):
+        succ.update(zip(zip(order, repeat(x)), order[1:] + order[:1]))
+    faces: list[tuple[int, ...]] = []
+    for v, order in enumerate(rotations):
+        if not order:
+            faces.append((v,))
+        for w in order:
+            if (v, w) not in succ:
+                continue
+            corners = [v]
+            u, x = v, w
+            while True:
+                u, x = x, succ.pop((u, x))
+                if u == v and x == w:
+                    break
+                corners.append(u)
+            if corners.count(v) > 1:
+                size = len(corners)
+                i = min((i for i in range(size) if corners[i] == v),
+                        key=lambda i: corners[(i + 1) % size])
+                corners = corners[i:] + corners[:i]
+            faces.append(tuple(corners))
+    faces.sort()
+    return faces

@@ -8,6 +8,7 @@ cover the packaging entry point.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -16,6 +17,7 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from bipyramids import DOUBLE_J3
 
 import nicplanar
 import nicplanar.cli as cli
@@ -284,6 +286,74 @@ class TestDual:
         code, out, _ = run_cli(["dual", str(path), "--format", "dot"], capsys)
         assert code == 0
         assert "shape=house" in out
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_non_nic_embedding_is_refused(self, tmp_path, capsys, fmt):
+        # edge 0-1 sits in two crossing pairs
+        path = tmp_path / "double.json"
+        path.write_text(json.dumps(DOUBLE_J3))
+        code, out, err = run_cli(["dual", str(path), "--format", fmt], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: not a NIC embedding: 2 violation(s):\n"
+            "  [edge-crossed-once] edge (0, 1) appears in two crossings\n"
+            "  [crossing-pairs-share-le-one] crossing pairs ((0, 1), (2, 5)) "
+            "and ((0, 1), (3, 4)) share vertices [0, 1]\n")
+
+
+class TestCollector:
+    """``main`` runs a command under ``GC_THRESHOLDS`` and gives the caller
+    back its own thresholds on every exit, with the collector as it was."""
+
+    CALLER = (321, 7, 9)
+
+    @pytest.fixture(autouse=True)
+    def caller_thresholds(self):
+        saved = gc.get_threshold()
+        gc.set_threshold(*self.CALLER)
+        yield
+        gc.set_threshold(*saved)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["density", "K5"], 0),
+        (["recognize", "K5"], 1),
+        (["generate", "optimal", "--k", "1"], 2),  # NicplanarError
+        (["recognize", "missing.txt"], 2),
+    ])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_thresholds_restored_on_return(self, k5_file, capsys, argv,
+                                           code, enabled):
+        argv = [k5_file if arg == "K5" else arg for arg in argv]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert gc.get_threshold() == self.CALLER
+
+    @pytest.mark.parametrize("argv", [
+        ["no-such-command"],  # argparse, before the command runs
+        ["generate", "intermediate", "--k", "2"],  # inside the command
+    ])
+    def test_thresholds_restored_on_system_exit(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert gc.isenabled()
+        assert gc.get_threshold() == self.CALLER
+
+    def test_command_runs_under_the_relaxed_thresholds(self, k5_file,
+                                                       monkeypatch, capsys):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append((gc.get_threshold(), gc.isenabled()))
+            return recognize_optimal(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "recognize_optimal", spy)
+        assert main(["recognize", k5_file]) == 1
+        assert seen == [(cli.GC_THRESHOLDS, True)]
 
 
 class TestDensity:

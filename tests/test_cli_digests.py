@@ -7,9 +7,7 @@ two-input batch), plus ``verify``, ``export`` and ``dual`` on a plane
 embedding with a cut vertex, whose outer face repeats a corner, and
 ``verify`` and ``export`` on the nested embedding with its crossing
 pairs listed unnormalized, and ``dual`` on two bipyramids whose pole
-edge is crossed twice (one dual has a 2-cut, the other parallel
-links).  A
-change meant to keep CLI output byte-identical must leave every digest
+edge is crossed twice, which it refuses.  A change meant to keep CLI output byte-identical must leave every digest
 as it is; a change that alters output on purpose updates the table and
 says why.  Commands run in-process through
 ``main`` from a temporary working directory, so file names in the
@@ -93,9 +91,10 @@ PINNED = {
     # those of the normalized nested embedding
     "verify reversed pairs": [0, "b22409f6aa9de667", "e3b0c44298fc1c14"],
     "export reversed pairs": [0, "037e0eb654412cde", "e3b0c44298fc1c14"],
-    # taken before the 3-connectivity check was read off the faces
-    "dual double-crossed j3": [1, "600c6af974bfdc31", "e3b0c44298fc1c14"],
-    "dual double-crossed j2": [1, "c6be6cf54e45216a", "e3b0c44298fc1c14"],
+    # edge 0-1 is crossed twice, so ``dual`` refuses both documents after
+    # ``verify_nic``, as ``verify`` does: exit 2, the violations on stderr
+    "dual double-crossed j3": [2, "e3b0c44298fc1c14", "8cd72e485db2bb98"],
+    "dual double-crossed j2": [2, "e3b0c44298fc1c14", "26d88f440fe0f46e"],
 }
 
 

@@ -9,15 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nicplanar.graph as graph_module
+from bruteforce import brute_face_walk, graph_strategy
 from nicplanar.embedding import (
     NicEmbedding,
     embed_with_crossings,
     embedding_from_json,
     embedding_to_json,
+    normalize_crossing,
     trace_faces,
     verify_nic,
 )
-from nicplanar.errors import NonSphericalEmbedding, ParseError
+from nicplanar.errors import GraphError, NonSphericalEmbedding, ParseError
+from nicplanar.faces import face_walk
 from nicplanar.graph import new_graph
 # aliased: a module-level name starting with "test_" would be collected
 from nicplanar.planarity import test_planarity as planarity_check
@@ -214,6 +217,24 @@ def test_overlong_dummy_rotation_is_reported_not_raised():
     assert [v.rule for v in report.violations] == ["spherical"]
 
 
+@st.composite
+def rotation_systems(draw):
+    """Any rotation system of a random graph: lone vertices, cut vertices
+    and disconnected pieces included, planar or not."""
+    g = draw(graph_strategy(min_n=1, max_n=9))
+    return [draw(st.permutations(row)) for row in g.adjacency]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_systems())
+# two triangles sharing the cut vertex 0, met first along (0, 3)
+@example([[3, 4, 1, 2], [2, 0], [0, 1], [4, 0], [0, 3]])
+# a path through the cut vertex 1, a lone vertex 3, an isolated edge
+@example([[1], [0, 2], [1], [], [5], [4]])
+def test_face_walk_matches_the_edge_keyed_walk(rotations):
+    assert face_walk(rotations) == brute_face_walk(rotations)
+
+
 def test_embed_with_crossings_rejects_bad_input():
     base = new_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     with pytest.raises(ValueError):
@@ -256,6 +277,74 @@ def test_planarization_is_derived_from_the_pairs(case):
         "crossing-pair-disjoint", "crossing-pairs-share-le-one",
         "dummy-numbering", "planarization-edges", "dummy-alternation",
         "spherical")
+
+
+def planarization_by_new_graph(base, crossings):
+    """The planarization as ``new_graph`` builds and validates it."""
+    crossed, star_edges = set(), set()
+    for dummy, (e1, e2) in enumerate(crossings, start=base.n):
+        a, b = normalize_crossing(e1, e2)
+        crossed.update((a, b))
+        star_edges.update((u, dummy) for u in set(a + b))
+    kept = [e for e in base.edges if e not in crossed]
+    return new_graph(base.n + len(crossings), kept + sorted(star_edges))
+
+
+def _outcome(build):
+    try:
+        g = build()
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return g.n, g.edges, g.adjacency, g.edge_set
+
+
+@st.composite
+def graphs_with_wild_crossing_lists(draw):
+    """Random graphs with crossing lists whose edges are mostly base
+    edges, and whose endpoints may also be dummy ids, negative or out of
+    range, or ``bool``."""
+    n = draw(st.integers(2, 8))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    c = draw(st.integers(0, 4))
+    vertex = st.one_of(
+        st.integers(0, n - 1),
+        st.integers(n, n + c),  # a dummy id, or just past the last one
+        st.integers(-2, -1),
+        st.booleans(),
+    )
+    edge = st.one_of(st.sampled_from(edges or pairs),
+                     st.tuples(vertex, vertex))
+    crossings = draw(st.lists(st.tuples(edge, edge), min_size=c, max_size=c))
+    return new_graph(n, edges), crossings
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(graphs_with_crossing_lists(),
+                 graphs_with_wild_crossing_lists()))
+@example((complete(4), [((0, 2), (1, 3))]))
+@example((complete(4), [((0, 2), (1, 3)), ((0, 2), (1, 3))]))
+@example((complete(4), [((0, 4), (1, 3))]))  # names its own dummy
+@example((complete(4), [((0, 5), (1, 3)), ((0, 4), (1, 2))]))
+@example((complete(4), [((0, 6), (1, 3))]))
+@example((complete(4), [((-1, 2), (1, 3))]))
+@example((complete(4), [((True, 2), (0, 3))]))
+# a set of these four ids iterates as 0, 9, 8, 17: the dummy's row is sorted
+@example((new_graph(18, [(0, 9), (8, 17)]), [((0, 9), (8, 17))]))
+def test_planarization_matches_new_graph(case):
+    base, crossings = case
+    assert _outcome(lambda: NicEmbedding(base, crossings, ()).planarization) \
+        == _outcome(lambda: planarization_by_new_graph(base, crossings))
+
+
+def test_planarization_counts_dummies_against_the_vertex_limit(monkeypatch):
+    monkeypatch.setattr(graph_module, "MAX_VERTICES", 5)
+    crossings = [((0, 2), (1, 3)), ((0, 1), (2, 3))]
+    with pytest.raises(GraphError,
+                       match="vertex count 6 exceeds the limit 5") as exc:
+        NicEmbedding(complete(4), crossings, ())
+    assert _outcome(lambda: planarization_by_new_graph(
+        complete(4), crossings)) == (type(exc.value), str(exc.value))
 
 
 # --- JSON interchange ---
