@@ -193,8 +193,8 @@ def _cmd_dual(args) -> int:
     clean = rules.ok and not structure
     try:
         levels = compute_levels(dual)
-        doc["levels"] = {"per_node": list(levels.levels),
-                         "marked": list(levels.marked)}
+        doc["levels"] = {"per_node": list(levels),
+                         "marked": list(dual.marked_flags())}
     except LevelExceedsTwo as exc:
         levels = None
         doc["levels"] = None
@@ -206,7 +206,7 @@ def _cmd_dual(args) -> int:
             "grand_total": str(account.grand_total),
             "totals": [str(t) for t in account.totals],
             "quarters": [
-                [{"face": list(dual.faces[q.face].corners),
+                [{"face": list(dual.faces[q.face]),
                   "triangle_fraction": str(q.triangle_fraction),
                   "tetrahedron_fraction": str(q.tetrahedron_fraction),
                   "planar_edges": str(q.planar_edges)}
@@ -300,7 +300,7 @@ def _cmd_oracle(args) -> int:
         "feasible": res.feasible,
         "examined": res.examined,
         "pruned": res.pruned,
-        "kite_sets": [[list(q) for q in ks.quads] for ks in res.kite_sets],
+        "kite_sets": [[list(q) for q in ks] for ks in res.kite_sets],
     }
     _emit(_dumps(doc), args.out)
     return 0 if res.feasible else 1

@@ -43,7 +43,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .embedding import (
-    Face,
     NicEmbedding,
     VerificationReport,
     Violation,
@@ -99,7 +98,8 @@ class GeneralizedDual:
     nodes: tuple[DualNode, ...]
     links: tuple[DualLink, ...]
     face_node: tuple[int, ...]
-    faces: tuple[Face, ...]
+    #: the embedding's faces as ``trace_faces`` returns them
+    faces: tuple[tuple[int, ...], ...]
     embedding: NicEmbedding
 
     def __len__(self) -> int:
@@ -122,7 +122,7 @@ class GeneralizedDual:
         """Sorted vertex set of the node's primal face group."""
         verts: set[int] = set()
         for f in self.nodes[idx].faces:
-            verts.update(self.faces[f].corners)
+            verts.update(self.faces[f])
         return tuple(sorted(verts))
 
     def marked_flags(self) -> tuple[bool, ...]:
@@ -151,8 +151,8 @@ def build_dual(emb: NicEmbedding) -> GeneralizedDual:
     for idx, face in enumerate(faces):
         if len(face) != 3:
             raise NotMaximalEmbedding(
-                f"face {face.corners} has {len(face)} corners, expected 3")
-        for v in face.corners:
+                f"face {face} has {len(face)} corners, expected 3")
+        for v in face:
             incident[v].append(idx)
 
     face_node = [-1] * len(faces)
@@ -168,7 +168,7 @@ def build_dual(emb: NicEmbedding) -> GeneralizedDual:
         for f in around:
             if face_node[f] != -1:
                 raise NotMaximalEmbedding(
-                    f"face {faces[f].corners} lies on two crossings")
+                    f"face {faces[f]} lies on two crossings")
             face_node[f] = len(nodes)
         nodes.append(DualNode(KITE, tuple(around), z))
 
@@ -185,7 +185,7 @@ def build_dual(emb: NicEmbedding) -> GeneralizedDual:
             if face_node[f] != -1:
                 owner = nodes[face_node[f]]
                 raise NotMaximalEmbedding(
-                    f"face {faces[f].corners} claimed by both vertex {v} "
+                    f"face {faces[f]} claimed by both vertex {v} "
                     f"and a {owner.kind} node")
         for f in around:
             face_node[f] = len(nodes)
@@ -194,16 +194,16 @@ def build_dual(emb: NicEmbedding) -> GeneralizedDual:
     for idx, face in enumerate(faces):
         if face_node[idx] != -1:
             continue
-        if any(v >= n_base for v in face.corners):
+        if any(v >= n_base for v in face):
             raise NotMaximalEmbedding(
-                f"face {face.corners} touches a crossing but was not "
+                f"face {face} touches a crossing but was not "
                 "grouped into its kite")
         face_node[idx] = len(nodes)
         nodes.append(DualNode(TRIANGLE, (idx,), -1))
 
     edge_faces: dict[Edge, list[int]] = {}
     for idx, face in enumerate(faces):
-        a, b, c = face.corners
+        a, b, c = face
         for u, v in ((a, b), (b, c), (c, a)):
             e = (u, v) if u < v else (v, u)
             edge_faces.setdefault(e, []).append(idx)
@@ -320,8 +320,8 @@ def check_adjacency_rules(dual: GeneralizedDual) -> VerificationReport:
 def _tetrahedral_apexes(dual: GeneralizedDual,
                         link: DualLink) -> tuple[int, int] | None:
     """Apex pair (w, x) of faces (u, v, w), (u, v, x) across u-v."""
-    fa = dual.faces[link.face_a].corner_set()
-    fb = dual.faces[link.face_b].corner_set()
+    fa = frozenset(dual.faces[link.face_a])
+    fb = frozenset(dual.faces[link.face_b])
     shared = set(link.via)
     apex_a = fa - shared
     apex_b = fb - shared
@@ -402,19 +402,9 @@ def is_kite_triangle_bipartite(dual: GeneralizedDual) -> bool:
 # --- levels and weight accounting ---
 
 
-@dataclass(frozen=True)
-class LevelMap:
-    """Distance of each node to the nearest kite node, plus mark flags."""
-
-    levels: tuple[int, ...]
-    marked: tuple[bool, ...]
-
-    def __getitem__(self, idx: int) -> int:
-        return self.levels[idx]
-
-
-def compute_levels(dual: GeneralizedDual) -> LevelMap:
-    """Multi-source BFS from the kite nodes; levels are proven <= 2."""
+def compute_levels(dual: GeneralizedDual) -> tuple[int, ...]:
+    """Each node's distance to the nearest kite node, by a multi-source
+    BFS from the kite nodes; levels are proven <= 2."""
     kites = [i for i, n in enumerate(dual.nodes) if n.kind == KITE]
     if not kites:
         raise LevelExceedsTwo(
@@ -435,7 +425,7 @@ def compute_levels(dual: GeneralizedDual) -> LevelMap:
     if bad:
         raise LevelExceedsTwo(
             f"nodes {bad} lie beyond distance two from every kite node")
-    return LevelMap(tuple(level), dual.marked_flags())
+    return tuple(level)
 
 
 @dataclass(frozen=True)
@@ -471,7 +461,8 @@ class SphereAccount:
 
 
 def quarter_sphere_accounting(dual: GeneralizedDual,
-                              level_map: LevelMap | None = None) -> SphereAccount:
+                              levels: tuple[int, ...] | None = None,
+                              ) -> SphereAccount:
     """Distribute node weights over kite faces and check the proven bounds.
 
     Every non-kite node splits its weight evenly over its attachments:
@@ -480,11 +471,11 @@ def quarter_sphere_accounting(dual: GeneralizedDual,
     planar edge, and at most 3 unless it is exactly one whole
     tetrahedron node, which carries 9/2; each sphere total lies in
     [4, 14]; the grand total must equal m - 2c.  Violations raise
-    :class:`AccountingViolation`.
+    :class:`AccountingViolation`.  ``levels`` defaults to
+    ``compute_levels(dual)``.
     """
-    if level_map is None:
-        level_map = compute_levels(dual)
-    levels = level_map.levels
+    if levels is None:
+        levels = compute_levels(dual)
     nodes = dual.nodes
 
     # attachment points: (kite node, face index) pairs per non-kite node
@@ -609,7 +600,7 @@ def _flip_site(emb: NicEmbedding, dual: GeneralizedDual,
                             if apexes in entry.pair), None)
         if entry_index is None:
             return f"tetrahedral edge {apexes} is not a crossing edge"
-    entry = emb.registry.entries[entry_index]
+    entry = emb.registry[entry_index]
     corners = tuple(sorted(entry.endpoints))
     if apexes not in entry.pair:
         return (f"tetrahedral edge {apexes} is not a crossing edge of the "
@@ -620,10 +611,8 @@ def _flip_site(emb: NicEmbedding, dual: GeneralizedDual,
             if nodes[other].kind == KITE and nodes[other].anchor != entry.dummy:
                 return (f"face {dual.node_identity(tri)} is marked by a kite "
                         "other than the one being flipped")
-    pair = (
-        tuple(sorted(dual.faces[link.face_a].corner_set())),
-        tuple(sorted(dual.faces[link.face_b].corner_set())),
-    )
+    pair = (tuple(sorted(dual.faces[link.face_a])),
+            tuple(sorted(dual.faces[link.face_b])))
     return FlipSite(corners, pair, link.via, apexes, entry_index)
 
 
@@ -645,8 +634,8 @@ def kite_flip(emb: NicEmbedding, kite: Iterable[int],
     entry_index = _resolve_kite(emb, set(kite))
     want = frozenset(frozenset(p) for p in pair)
     link = next((cand for cand in dual.links
-                 if want == {dual.faces[cand.face_a].corner_set(),
-                             dual.faces[cand.face_b].corner_set()}), None)
+                 if want == {frozenset(dual.faces[cand.face_a]),
+                             frozenset(dual.faces[cand.face_b])}), None)
     if link is None:
         named = tuple(sorted(tuple(sorted(p)) for p in want))
         raise PreconditionViolated(
@@ -654,10 +643,10 @@ def kite_flip(emb: NicEmbedding, kite: Iterable[int],
     site = _flip_site(emb, dual, dual.neighbour_lists(), link, entry_index)
     if isinstance(site, str):
         raise PreconditionViolated(site)
-    pairs = list(emb.registry.pairs())
+    pairs = [entry.pair for entry in emb.registry]
     wx, uv = site.tetra_edge, site.shared_edge
     pairs[entry_index] = (wx, uv) if wx < uv else (uv, wx)
-    d = emb.registry.entries[entry_index].dummy
+    d = emb.registry[entry_index].dummy
     rotations = replace_faces(emb.rotations, *_flip_faces(emb, d, wx, uv))
     return certified(NicEmbedding(emb.base, pairs, rotations))
 

@@ -2,11 +2,12 @@
 
 A :class:`NicEmbedding` is a graph, its crossing pairs and a rotation
 system of its planarization.  The planarization and the crossing
-registry are derived from the graph and the pairs when the embedding is
-built, so they always agree: each crossing is replaced by a degree-4
-dummy vertex, dummy ``i`` gets planarization id ``base.n + i`` and is
-named ``"x<i>"`` (``NicEmbedding.vertex_name``) in JSON, DOT and
-messages.
+registry (one :class:`CrossingEntry` per pair) are derived from the
+graph and the pairs when the embedding is built, so they always agree:
+each crossing is replaced by a degree-4 dummy vertex, dummy ``i`` gets
+planarization id ``base.n + i`` and is named ``"x<i>"``
+(``NicEmbedding.vertex_name``) in JSON, DOT and messages.  A face is
+its cyclic corner tuple; a cut vertex recurs once per visit.
 
 ``verify_nic`` checks the defining conditions (each edge crossed at most
 once, two crossing pairs share at most one endpoint), the interleaving
@@ -55,20 +56,6 @@ class CrossingEntry:
 
 
 @dataclass(frozen=True)
-class CrossingRegistry:
-    entries: tuple[CrossingEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def pairs(self) -> tuple[Crossing, ...]:
-        return tuple(e.pair for e in self.entries)
-
-
-@dataclass(frozen=True)
 class NicEmbedding:
     """A graph, its crossing pairs and a rotation system of its planarization.
 
@@ -85,9 +72,9 @@ class NicEmbedding:
     crossings: InitVar[Iterable]
     rotations: tuple[tuple[int, ...], ...]
     planarization: Graph = field(init=False)
-    registry: CrossingRegistry = field(init=False)
+    registry: tuple[CrossingEntry, ...] = field(init=False)
     #: faces memoized by ``trace_faces``; not part of the value
-    _faces: tuple[Face, ...] | None = field(
+    _faces: tuple[tuple[int, ...], ...] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, crossings) -> None:
@@ -105,7 +92,7 @@ class NicEmbedding:
             ends.append(set(a + b))
         object.__setattr__(self, "planarization",
                            _planarize(base, crossed, ends))
-        object.__setattr__(self, "registry", CrossingRegistry(tuple(entries)))
+        object.__setattr__(self, "registry", tuple(entries))
 
     def is_dummy(self, v: int) -> bool:
         return v >= self.base.n
@@ -153,19 +140,6 @@ def _planarize(base: Graph, crossed: set, ends: list[set]) -> Graph:
     edges = tuple((u, w) for u, row in enumerate(rows) for w in row if u < w)
     rows.extend(tuple(sorted(us)) for us in ends)
     return Graph(total, edges, tuple(rows), frozenset(edges))
-
-
-@dataclass(frozen=True)
-class Face:
-    """A face as its cyclic corner sequence; a cut vertex recurs per visit."""
-
-    corners: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.corners)
-
-    def corner_set(self) -> frozenset[int]:
-        return frozenset(self.corners)
 
 
 @dataclass(frozen=True)
@@ -268,7 +242,7 @@ def _alternates(rot, entry) -> bool:
             set(entry.second) in (opposite_a, opposite_b))
 
 
-def _pin_crossings(planarization: Graph, registry: CrossingRegistry):
+def _pin_crossings(planarization: Graph, registry: tuple[CrossingEntry, ...]):
     """Planar rotations that interleave the crossed pairs at every dummy.
 
     The planarity test returns an arbitrary embedding, and at a dummy of
@@ -294,13 +268,11 @@ def _pin_crossings(planarization: Graph, registry: CrossingRegistry):
             extra.append((v, next_id))
             next_id += 1
     augmented = new_graph(next_id, list(planarization.edges) + extra)
-    result = test_planarity(augmented)
-    if not result.planar:
+    rotations = test_planarity(augmented)
+    if rotations is None:
         return None
     keep = planarization.n
-    return tuple(
-        tuple(w for w in result.rotations[v] if w < keep)
-        for v in range(keep))
+    return tuple(tuple(w for w in rot if w < keep) for rot in rotations[:keep])
 
 
 def embed_with_crossings(base: Graph, crossings) -> NicEmbedding:
@@ -314,10 +286,9 @@ def embed_with_crossings(base: Graph, crossings) -> NicEmbedding:
     # is returned, so the planarity test reads the one planarization
     emb = NicEmbedding(base, crossings, ())
     planarization, registry = emb.planarization, emb.registry
-    result = test_planarity(planarization)
-    if not result.planar:
+    rotations = test_planarity(planarization)
+    if rotations is None:
         raise ValueError("planarization of the crossing set is not planar")
-    rotations = tuple(result.rotations[v] for v in range(planarization.n))
     if any(len(rotations[entry.dummy]) == 4 and
            not _alternates(rotations[entry.dummy], entry)
            for entry in registry):
@@ -342,8 +313,15 @@ def certified(emb: NicEmbedding) -> NicEmbedding:
 # --- face traversal ---
 
 
-def trace_faces(emb: NicEmbedding) -> tuple[Face, ...]:
-    """Faces of the planarization's rotation system.
+def _check_rotation_count(emb: NicEmbedding) -> None:
+    """Raise :class:`NonSphericalEmbedding` unless ``emb`` has one
+    rotation per planarization vertex, so that indexing them is safe."""
+    if len(emb.rotations) != emb.planarization.n:
+        raise NonSphericalEmbedding("rotation system size differs from vertex count")
+
+
+def trace_faces(emb: NicEmbedding) -> tuple[tuple[int, ...], ...]:
+    """Faces of the planarization's rotation system, as corner tuples.
 
     The one place a rotation system is checked (neighbour permutations,
     connectivity, Euler's formula); ``face_walk`` trusts it.  Raises
@@ -354,8 +332,7 @@ def trace_faces(emb: NicEmbedding) -> tuple[Face, ...]:
     if emb._faces is not None:
         return emb._faces
     g = emb.planarization
-    if g.n != len(emb.rotations):
-        raise NonSphericalEmbedding("rotation system size differs from vertex count")
+    _check_rotation_count(emb)
     for v, rot in enumerate(emb.rotations):
         if sorted(rot) != list(g.adjacency[v]):
             raise NonSphericalEmbedding(
@@ -369,7 +346,7 @@ def trace_faces(emb: NicEmbedding) -> tuple[Face, ...]:
             f"face count {len(cycles)} violates Euler's formula "
             f"(n={g.n}, m={g.m})"
         )
-    faces = tuple(map(Face, cycles))
+    faces = tuple(cycles)
     object.__setattr__(emb, "_faces", faces)
     return faces
 
@@ -426,10 +403,9 @@ def verify_nic(emb: NicEmbedding) -> VerificationReport:
 
     # two registries share >= 2 vertices iff they share an unordered pair,
     # so one dictionary pass replaces the quadratic comparison
-    entries = emb.registry.entries
     pair_owner: dict[tuple[int, int], int] = {}
     flagged: set[tuple[int, int]] = set()
-    for idx, entry in enumerate(entries):
+    for idx, entry in enumerate(emb.registry):
         pts = sorted(entry.endpoints)
         for a in range(len(pts)):
             for bb in range(a + 1, len(pts)):
@@ -439,14 +415,15 @@ def verify_nic(emb: NicEmbedding) -> VerificationReport:
                     flagged.add((other, idx))
                     violations.append(Violation(
                         "crossing-pairs-share-le-one",
-                        f"crossing pairs {entries[other].pair} and "
+                        f"crossing pairs {emb.registry[other].pair} and "
                         f"{entry.pair} share vertices {list(key)}",
                     ))
 
     # with too few or too many rotations the dummies' rotations are not
-    # known; trace_faces reports the count under "spherical"
-    if len(emb.rotations) == emb.planarization.n:
-        for entry in entries:
+    # known, and the count is reported under "spherical"
+    try:
+        _check_rotation_count(emb)
+        for entry in emb.registry:
             rot = emb.rotations[entry.dummy]
             if len(rot) == 4 and not _alternates(rot, entry):
                 violations.append(Violation(
@@ -454,8 +431,6 @@ def verify_nic(emb: NicEmbedding) -> VerificationReport:
                     f"rotation {rot} at {emb.vertex_name(entry.dummy)} does "
                     f"not alternate the crossed edges {entry.pair}",
                 ))
-
-    try:
         trace_faces(emb)
     except NonSphericalEmbedding as exc:
         violations.append(Violation("spherical", str(exc)))
@@ -487,15 +462,15 @@ def verify_maximal_embedding(emb: NicEmbedding) -> VerificationReport:
         if len(face) != 3:
             violations.append(Violation(
                 "all-triangles",
-                f"face {face.corners} has length {len(face)}",
+                f"face {face} has length {len(face)}",
             ))
-        for v in face.corners:
+        for v in face:
             if emb.is_dummy(v):
                 if len(face) != 3:
                     violations.append(Violation(
                         "kite-faces",
                         f"crossing {emb.vertex_name(v)} lies on the "
-                        f"non-triangular face {face.corners}",
+                        f"non-triangular face {face}",
                     ))
                 by_dummy[v] = by_dummy.get(v, 0) + 1
     for entry in emb.registry:
@@ -523,11 +498,15 @@ def verify_maximal_embedding(emb: NicEmbedding) -> VerificationReport:
 
 
 def embedding_to_doc(emb: NicEmbedding) -> dict:
-    """The JSON interchange form as a dict, for callers that embed it."""
+    """The JSON interchange form as a dict, for callers that embed it.
+
+    Raises :class:`NonSphericalEmbedding` unless there is one rotation
+    per planarization vertex.
+    """
+    _check_rotation_count(emb)
     n = emb.base.n
     rotations = {}
-    for v in range(emb.planarization.n):
-        rot = emb.rotations[v]
+    for v, rot in enumerate(emb.rotations):
         if rot:
             k = rot.index(min(rot))
             rot = rot[k:] + rot[:k]

@@ -1,4 +1,4 @@
-"""Face traversal for combinatorial rotation systems.
+"""Faces of combinatorial rotation systems, found by walking them.
 
 A rotation system assigns every vertex a cyclic order of its neighbours.
 Faces are the orbits of directed edges under the rule: having arrived at

@@ -9,13 +9,12 @@ search is complete, because every crossing of such a graph sits inside a
 kite on an induced K4.  The oracle does not decide NIC-planarity of
 arbitrary graphs, only the kite-coverable (maximal or optimal) cases.
 
-What it shares with the recognizer is deliberately small: the
-``KiteSet`` and ``Quad`` containers, ``build_star_graph`` (collapsing a
-given kite set) and the planarity test.  The parts that can be wrong in
-a recognizer-specific way stay its own: the K4 catalogue (no
-:mod:`nicplanar.k4` listing), the choice of kite set (a search, not the
-sole-occupant selection rule) and the embedding (none is read off the
-kites).
+What it shares with the recognizer is deliberately small: the ``Quad``
+tuple, ``build_star_graph`` (collapsing a given kite set) and the
+planarity test.  The parts that can be wrong in a recognizer-specific
+way stay its own: the K4 catalogue (no :mod:`nicplanar.k4` listing), the
+choice of kite set (a search, not the sole-occupant selection rule) and
+the embedding (none is read off the kites).
 
 Costs grow quickly with the vertex count, so inputs are refused above a
 small size limit instead of silently taking hours.
@@ -30,7 +29,7 @@ from .errors import LimitExceeded
 from .graph import Graph
 from .k4 import Quad
 from .planarity import test_planarity
-from .recognize import KiteSet, build_star_graph
+from .recognize import build_star_graph
 
 DEFAULT_SIZE_LIMIT = 12
 
@@ -40,13 +39,14 @@ class OracleResult:
     """Outcome of an exhaustive kite-set search.
 
     ``feasible`` is True when at least one valid kite set exists.
-    ``kite_sets`` lists every one found, sorted by their quads.
+    ``kite_sets`` lists every one found, each a sorted tuple of quads,
+    in sorted order.
     ``examined`` counts complete candidate subsets that reached the
     planarity test; ``pruned`` counts abandoned search branches.
     """
 
     feasible: bool
-    kite_sets: tuple[KiteSet, ...]
+    kite_sets: tuple[tuple[Quad, ...], ...]
     examined: int
     pruned: int
 
@@ -95,8 +95,7 @@ def oracle_maximal_nic(g: Graph, *, optimal: bool = False,
     def accept(chosen: tuple[Quad, ...]) -> None:
         nonlocal examined
         examined += 1
-        star = build_star_graph(g, KiteSet(chosen))
-        if test_planarity(star).planar:
+        if test_planarity(build_star_graph(g, chosen)) is not None:
             found.append(tuple(sorted(chosen)))
 
     if not prune:
@@ -161,8 +160,7 @@ def oracle_maximal_nic(g: Graph, *, optimal: bool = False,
 
         extend(0, [])
 
-    unique = sorted(set(found))
-    kite_sets = tuple(KiteSet(quads) for quads in unique)
+    kite_sets = tuple(sorted(set(found)))
     return OracleResult(bool(kite_sets), kite_sets, examined, pruned)
 
 

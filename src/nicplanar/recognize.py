@@ -56,23 +56,6 @@ DEFAULT_STEP_CAP_MULTIPLIER = 256
 
 
 @dataclass(frozen=True)
-class KiteSet:
-    """The K4 subgraphs selected to be embedded with a crossing.
-
-    On accepted inputs every edge of the host graph lies in exactly one
-    member, which also forces members to share at most one vertex.
-    """
-
-    quads: tuple[Quad, ...]
-
-    def __len__(self) -> int:
-        return len(self.quads)
-
-    def __iter__(self):
-        return iter(self.quads)
-
-
-@dataclass(frozen=True)
 class RecognitionResult:
     """Verdict of a recognition run plus the counters it produced.
 
@@ -85,7 +68,10 @@ class RecognitionResult:
 
     embedding: NicEmbedding | None
     reason: str | None
-    kites: KiteSet | None
+    #: the K4s selected to be drawn as kites, set exactly when accepted;
+    #: every edge of the graph lies in exactly one of them, which also
+    #: forces two of them to share at most one vertex
+    kites: tuple[Quad, ...] | None
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -156,7 +142,7 @@ def recognize_optimal(g: Graph,
                 essential_steps=catalog.steps,
             )
 
-    kites = KiteSet(tuple(q for q, keep in zip(catalog.quads, selected) if keep))
+    kites = tuple(q for q, keep in zip(catalog.quads, selected) if keep)
     diagnostics = {
         "catalog_size": len(catalog),
         "kite_count": len(kites),
@@ -177,7 +163,7 @@ def recognize_optimal(g: Graph,
     return RecognitionResult(emb, None, kites, diagnostics)
 
 
-def build_star_graph(g: Graph, kites: KiteSet) -> Graph:
+def build_star_graph(g: Graph, kites: tuple[Quad, ...]) -> Graph:
     """Collapse each kite of ``g`` to a star around a fresh dummy vertex.
 
     All six edges inside a kite's vertex set are removed and a dummy
@@ -195,7 +181,8 @@ def build_star_graph(g: Graph, kites: KiteSet) -> Graph:
     return new_graph(g.n + len(kites), kept + star_edges)
 
 
-def embed_from_star_graph(g: Graph, kites: KiteSet) -> NicEmbedding | None:
+def embed_from_star_graph(g: Graph,
+                          kites: tuple[Quad, ...]) -> NicEmbedding | None:
     """The embedding of ``g`` found through its star graph, or None.
 
     The star graph of ``g`` and ``kites`` is planarity-tested; None when
@@ -205,18 +192,15 @@ def embed_from_star_graph(g: Graph, kites: KiteSet) -> NicEmbedding | None:
     result has passed ``verify_nic``.  An empty kite set embeds the
     planar input with an empty registry.
     """
-    star = build_star_graph(g, kites)
-    planarity = test_planarity(star)
-    if not planarity.planar:
+    rotations = test_planarity(build_star_graph(g, kites))
+    if rotations is None:
         return None
-    pairs = []
-    for z in range(g.n, star.n):
-        a, b, c, d = planarity.rotations[z]
-        pairs.append(((a, c), (b, d)))
+    pairs = [((a, c), (b, d)) for a, b, c, d in rotations[g.n:]]
     return embed_with_crossings(g, pairs)
 
 
-def embed_from_kites(g: Graph, kites: KiteSet) -> NicEmbedding | None:
+def embed_from_kites(g: Graph,
+                     kites: tuple[Quad, ...]) -> NicEmbedding | None:
     """The embedding of ``g`` read straight off its kites, or None.
 
     For each kite edge (u, v) the apexes are the common neighbours of u

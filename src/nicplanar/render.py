@@ -68,9 +68,7 @@ def _layout(emb: NicEmbedding) -> list[tuple[float, float]]:
     g = emb.planarization
     if g.n == 0:
         return []
-    faces = trace_faces(emb)
-    outer = max(faces, key=len)
-    rim = outer.corners
+    rim = max(trace_faces(emb), key=len)
     pos = [(0.0, 0.0)] * g.n
     pinned = [False] * g.n
     for i, v in enumerate(rim):

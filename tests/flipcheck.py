@@ -69,7 +69,7 @@ def flip_and_check(emb, site):
     kite = tuple(sorted(site.kite))
     r, s = (tuple(sorted(face)) for face in site.pair)
     new_kite = tuple(sorted(site.shared_edge + site.tetra_edge))
-    entry = emb.registry.entries[site.entry_index]
+    entry = emb.registry[site.entry_index]
     partner = next(e for e in entry.pair if e != site.tetra_edge)
     w, x = site.tetra_edge
     split_a = tuple(sorted((w,) + partner))

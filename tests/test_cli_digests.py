@@ -6,10 +6,12 @@ A fixed command set covers ``generate`` (one member of each family),
 two-input batch), plus ``verify``, ``export`` and ``dual`` on a plane
 embedding with a cut vertex, whose outer face repeats a corner, and
 ``verify`` and ``export`` on the nested embedding with its crossing
-pairs listed unnormalized, and ``dual`` on two bipyramids whose pole
-edge is crossed twice, which it refuses.  A change meant to keep CLI output byte-identical must leave every digest
-as it is; a change that alters output on purpose updates the table and
-says why.  Commands run in-process through
+pairs listed unnormalized, ``dual`` on two bipyramids whose pole
+edge is crossed twice, which it refuses, and ``dual`` on the sparsest
+member with k = 3 (tetrahedron nodes) and the nested member with k = 3
+(level-2 nodes).  A change meant to keep CLI output byte-identical must
+leave every digest as it is; a change that alters output on purpose
+updates the table and says why.  Commands run in-process through
 ``main`` from a temporary working directory, so file names in the
 output are relative and stable.
 """
@@ -52,6 +54,8 @@ ANALYSE = {
     "export reversed pairs": ["export", "reversed.json"],
     "dual double-crossed j3": ["dual", "double-j3.json"],
     "dual double-crossed j2": ["dual", "double-j2.json"],
+    "dual sparsest k3": ["dual", "sparsest.json"],
+    "dual nested-k5 k3": ["dual", "nested3.json"],
 }
 
 #: two triangles sharing vertex 0; its outer face repeats that cut vertex,
@@ -95,6 +99,10 @@ PINNED = {
     # ``verify_nic``, as ``verify`` does: exit 2, the violations on stderr
     "dual double-crossed j3": [2, "e3b0c44298fc1c14", "8cd72e485db2bb98"],
     "dual double-crossed j2": [2, "e3b0c44298fc1c14", "26d88f440fe0f46e"],
+    # taken before the faces, kite sets and levels became plain tuples:
+    # six tetrahedron nodes and twelve marked nodes, then level-2 nodes
+    "dual sparsest k3": [0, "6466fd6e92d561ff", "e3b0c44298fc1c14"],
+    "dual nested-k5 k3": [0, "d80652b7f648ace8", "e3b0c44298fc1c14"],
 }
 
 
@@ -117,8 +125,12 @@ def _reversed_pairs(doc: dict) -> dict:
     return {**doc, "crossings": crossings}
 
 
-def _write_inputs(nested_doc: dict) -> None:
+def _write_inputs(nested_doc: dict, sparsest_doc: dict) -> None:
+    _, stdout = _run(["generate", "nested-k5", "--k", "3"])
+    nested3_doc = json.loads(stdout)["embedding"]
     for name, doc in (("nested.json", nested_doc), ("bowtie.json", BOWTIE),
+                      ("sparsest.json", sparsest_doc),
+                      ("nested3.json", nested3_doc),
                       ("reversed.json", _reversed_pairs(nested_doc)),
                       ("double-j3.json", DOUBLE_J3),
                       ("double-j2.json", DOUBLE_J2)):
@@ -142,12 +154,11 @@ def _write_inputs(nested_doc: dict) -> None:
 def cli_digests() -> dict[str, list]:
     """Run the command set in the current directory; command -> digests."""
     table = {}
-    nested_doc = None
+    docs = {}
     for family, args in GENERATE.items():
         table[f"generate {family}"], stdout = _run(["generate", *args])
-        if family == "nested-k5":
-            nested_doc = json.loads(stdout)["embedding"]
-    _write_inputs(nested_doc)
+        docs[family] = json.loads(stdout)["embedding"]
+    _write_inputs(docs["nested-k5"], docs["sparsest"])
     for name, argv in ANALYSE.items():
         table[name], _ = _run(argv)
     return table

@@ -17,7 +17,6 @@ from nicplanar.dual import (
     DualLink,
     DualNode,
     GeneralizedDual,
-    LevelMap,
     build_dual,
     check_adjacency_rules,
     check_dual_structure,
@@ -28,7 +27,6 @@ from nicplanar.dual import (
     quarter_sphere_accounting,
 )
 from nicplanar.embedding import (
-    Face,
     NicEmbedding,
     embed_with_crossings,
     embedding_from_json,
@@ -69,18 +67,14 @@ def flip_fixture():
 
 
 def oriented_faces(emb, mirrored=False):
-    """Face cycles, each started at its least corner; reversed if
+    """The faces, each started at its least corner; reversed if
     ``mirrored``."""
     out = set()
     for face in trace_faces(emb):
-        c = face.corners[::-1] if mirrored else face.corners
+        c = face[::-1] if mirrored else face
         i = c.index(min(c))
         out.add(c[i:] + c[:i])
     return out
-
-
-def tri_face(a, b, c):
-    return Face((a, b, c))
 
 
 def synthetic(nodes, links, faces=(), embedding=None):
@@ -99,7 +93,7 @@ def synthetic(nodes, links, faces=(), embedding=None):
 class TestBuildDual:
     def test_fixture_faces_and_census(self):
         emb = flip_fixture()
-        assert sorted(tuple(sorted(f.corners)) for f in trace_faces(emb)) == [
+        assert sorted(tuple(sorted(f)) for f in trace_faces(emb)) == [
             (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4), (1, 2, 5),
             (1, 3, 5), (2, 4, 6), (2, 5, 6), (3, 4, 6), (3, 5, 6),
         ]
@@ -241,11 +235,12 @@ class TestLevels:
     def test_fixture_levels_and_marks_per_face(self):
         dual = build_dual(flip_fixture())
         levels = compute_levels(dual)
+        marked = dual.marked_flags()
         by_face = {}
         for idx, node in enumerate(dual.nodes):
             if node.kind == TRIANGLE:
-                corners = tuple(sorted(dual.faces[node.faces[0]].corners))
-                by_face[corners] = (levels[idx], levels.marked[idx])
+                corners = tuple(sorted(dual.faces[node.faces[0]]))
+                by_face[corners] = (levels[idx], marked[idx])
         assert by_face == {
             (0, 1, 2): (2, False),
             (0, 1, 3): (2, False),
@@ -259,11 +254,11 @@ class TestLevels:
 
     def test_optimal_family_is_level_one(self):
         levels = compute_levels(build_dual(gen_optimal(2).embedding))
-        assert max(levels.levels) == 1
+        assert max(levels) == 1
 
     def test_nested_family_reaches_level_two(self):
         levels = compute_levels(build_dual(gen_nested_k5(3).embedding))
-        assert max(levels.levels) == 2
+        assert max(levels) == 2
 
     def test_no_kite_means_no_levels(self):
         octahedron = new_graph(6, [
@@ -319,7 +314,7 @@ class TestAdjacencyRules:
         dual = self.synthetic(
             (DualNode(KITE, (0,), 90), DualNode(KITE, (1,), 91)),
             (DualLink(0, 1, (0, 1), 0, 1),),
-            (tri_face(0, 1, 2), tri_face(0, 1, 3)),
+            ((0, 1, 2), (0, 1, 3)),
         )
         assert "dual-rule-kite-kite" in self.rules_of(dual)
 
@@ -327,19 +322,19 @@ class TestAdjacencyRules:
         pair = self.synthetic(
             (DualNode(TETRAHEDRON, (0,), 5), DualNode(TETRAHEDRON, (1,), 6)),
             (DualLink(0, 1, (0, 1), 0, 1),),
-            (tri_face(0, 1, 2), tri_face(0, 1, 3)),
+            ((0, 1, 2), (0, 1, 3)),
         )
         assert "dual-rule-tetra-neighbours" in self.rules_of(pair)
         against_unmarked = self.synthetic(
             (DualNode(TETRAHEDRON, (0,), 5), DualNode(TRIANGLE, (1,), -1)),
             (DualLink(0, 1, (0, 1), 0, 1),),
-            (tri_face(0, 1, 2), tri_face(0, 1, 3)),
+            ((0, 1, 2), (0, 1, 3)),
         )
         assert "dual-rule-tetra-neighbours" in self.rules_of(against_unmarked)
 
     def test_lone_tetrahedron_is_unmarked(self):
         dual = self.synthetic((DualNode(TETRAHEDRON, (0,), 5),), (),
-                              (tri_face(0, 1, 2),))
+                              ((0, 1, 2),))
         assert "dual-rule-tetra-marked" in self.rules_of(dual)
 
     def test_unmarked_pair_needs_the_apex_edge(self):
@@ -347,7 +342,7 @@ class TestAdjacencyRules:
             return self.synthetic(
                 (DualNode(TRIANGLE, (0,), -1), DualNode(TRIANGLE, (1,), -1)),
                 (DualLink(0, 1, (0, 1), 0, 1),),
-                (tri_face(0, 1, 2), tri_face(0, 1, 3)),
+                ((0, 1, 2), (0, 1, 3)),
                 host,
             )
         without = pair_on(new_graph(6, [(0, 1)]))
@@ -360,7 +355,7 @@ class TestAdjacencyRules:
             (DualNode(TRIANGLE, (0,), -1), DualNode(TRIANGLE, (1,), -1),
              DualNode(TRIANGLE, (2,), -1)),
             (DualLink(0, 1, (0, 1), 0, 1), DualLink(0, 2, (1, 2), 0, 2)),
-            (tri_face(0, 1, 2), tri_face(0, 1, 3), tri_face(1, 2, 4)),
+            ((0, 1, 2), (0, 1, 3), (1, 2, 4)),
             new_graph(5, [(2, 3), (0, 4)]),
         )
         assert "dual-rule-triangle-pair" in self.rules_of(dual)
@@ -385,7 +380,7 @@ class TestDualStructure:
         dual = synthetic(
             (DualNode(TRIANGLE, (0,), -1), DualNode(TRIANGLE, (1,), -1)),
             (DualLink(0, 1, (0, 1), 0, 1), DualLink(0, 1, (1, 2), 0, 1)),
-            (tri_face(0, 1, 2), tri_face(1, 2, 3)),
+            ((0, 1, 2), (1, 2, 3)),
         )
         assert "dual-simple" in {v.rule for v in check_dual_structure(dual)}
 
@@ -455,26 +450,26 @@ class TestAccounting:
                    for q in whole_tetra)
 
     def test_empty_quarter_is_below_the_floor(self):
-        faces = tuple(tri_face(0, 1, 10 + i) for i in range(4))
-        faces += (tri_face(0, 1, 2),)
+        faces = tuple((0, 1, 10 + i) for i in range(4))
+        faces += ((0, 1, 2),)
         dual = synthetic(
             (DualNode(KITE, (0, 1, 2, 3), 99), DualNode(TRIANGLE, (4,), -1)),
             (DualLink(0, 1, (0, 1), 0, 4),),
             faces,
         )
         with pytest.raises(AccountingViolation, match="below the 1/2"):
-            quarter_sphere_accounting(dual, LevelMap((0, 1), (False, True)))
+            quarter_sphere_accounting(dual, (0, 1))
 
     def test_unattached_node_is_rejected(self):
-        faces = tuple(tri_face(0, 1, 10 + i) for i in range(4))
-        faces += (tri_face(0, 1, 2),)
+        faces = tuple((0, 1, 10 + i) for i in range(4))
+        faces += ((0, 1, 2),)
         dual = synthetic(
             (DualNode(KITE, (0, 1, 2, 3), 99), DualNode(TRIANGLE, (4,), -1)),
             (),
             faces,
         )
         with pytest.raises(AccountingViolation, match="no kite-face attachment"):
-            quarter_sphere_accounting(dual, LevelMap((0, 1), (False, False)))
+            quarter_sphere_accounting(dual, (0, 1))
 
     def test_overfull_quarter_needs_a_whole_tetrahedron(self):
         # three whole triangles on one face carry 9/2 without the excuse
@@ -484,9 +479,9 @@ class TestAccounting:
         links = tuple(DualLink(0, 1 + i, (0, i), 0, 4 + i) for i in range(3))
         links += tuple(DualLink(0, 4 + i, (1, i), 1 + i, 7 + i)
                        for i in range(3))
-        faces = tuple(tri_face(0, 1, 20 + i) for i in range(10))
+        faces = tuple((0, 1, 20 + i) for i in range(10))
         dual = synthetic(nodes, links, faces)
-        levels = LevelMap((0,) + (1,) * 6, (False,) + (True,) * 6)
+        levels = (0,) + (1,) * 6
         with pytest.raises(AccountingViolation,
                            match="not a single whole tetrahedron"):
             quarter_sphere_accounting(dual, levels)
@@ -496,9 +491,9 @@ class TestAccounting:
         nodes += tuple(DualNode(TETRAHEDRON, (4 + i,), 50 + i)
                        for i in range(4))
         links = tuple(DualLink(0, 1 + i, (0, i), i, 4 + i) for i in range(4))
-        faces = tuple(tri_face(0, 1, 30 + i) for i in range(8))
+        faces = tuple((0, 1, 30 + i) for i in range(8))
         dual = synthetic(nodes, links, faces)
-        levels = LevelMap((0,) + (1,) * 4, (False,) + (True,) * 4)
+        levels = (0,) + (1,) * 4
         with pytest.raises(AccountingViolation, match=r"outside \[4, 14\]"):
             quarter_sphere_accounting(dual, levels)
 
@@ -506,8 +501,8 @@ class TestAccounting:
         nodes = (DualNode(KITE, (0, 1, 2, 3), 99),)
         nodes += tuple(DualNode(TRIANGLE, (4 + i,), -1) for i in range(4))
         links = tuple(DualLink(0, 1 + i, (0, i), i, 4 + i) for i in range(4))
-        faces = tuple(tri_face(0, 1, 30 + i) for i in range(8))
-        levels = LevelMap((0,) + (1,) * 4, (False,) + (True,) * 4)
+        faces = tuple((0, 1, 30 + i) for i in range(8))
+        levels = (0,) + (1,) * 4
 
         clashing = SimpleNamespace(base=SimpleNamespace(m=100), registry=())
         dual = synthetic(nodes, links, faces, embedding=clashing)
@@ -560,8 +555,8 @@ class TestKiteFlip:
         emb = flip_fixture()
         site = find_flips(emb)[0]
         flipped = flip_and_check(emb, site)
-        assert flipped.registry.pairs() == (((0, 1), (2, 3)),)
-        assert sorted(tuple(sorted(f.corners))
+        assert [e.pair for e in flipped.registry] == [((0, 1), (2, 3))]
+        assert sorted(tuple(sorted(f))
                       for f in trace_faces(flipped)) == [
             (0, 2, 4), (0, 2, 6), (0, 3, 4), (0, 3, 6), (1, 2, 5),
             (1, 2, 6), (1, 3, 5), (1, 3, 6), (2, 4, 5), (3, 4, 5),
@@ -571,11 +566,11 @@ class TestKiteFlip:
     def test_every_fixture_site_flips_cleanly(self):
         emb = flip_fixture()
         dual = build_dual(emb)
-        levels = compute_levels(dual)
+        marked = dual.marked_flags()
         marked_faces = {
-            tuple(sorted(dual.faces[node.faces[0]].corners))
+            tuple(sorted(dual.faces[node.faces[0]]))
             for idx, node in enumerate(dual.nodes)
-            if node.kind == TRIANGLE and levels.marked[idx]
+            if node.kind == TRIANGLE and marked[idx]
         }
         sites = find_flips(emb)
         # one site is between unmarked faces, two touch the kite itself
@@ -593,30 +588,30 @@ class TestKiteFlip:
         emb = flip_fixture()
         site = find_flips(emb)[0]
         flipped = kite_flip(emb, site.kite, site.pair)
-        entry = emb.registry.entries[site.entry_index]
+        entry = emb.registry[site.entry_index]
         partner = next(e for e in entry.pair if e != site.tetra_edge)
         reverse = [s for s in find_flips(flipped) if s.shared_edge == partner]
         assert len(reverse) == 1
         back = kite_flip(flipped, reverse[0].kite, reverse[0].pair)
-        assert back.registry.pairs() == emb.registry.pairs()
+        assert back.registry == emb.registry
         assert back.base.edge_set == emb.base.edge_set
 
     def test_nested_flip_is_an_involution(self):
         emb = gen_nested_k5(2).embedding
         site = find_flips(emb)[0]
         flipped = kite_flip(emb, site.kite, site.pair)
-        assert flipped.registry.pairs()[5] == ((0, 17), (2, 16))
+        assert flipped.registry[5].pair == ((0, 17), (2, 16))
         reverse = [s for s in find_flips(flipped) if s.shared_edge == (3, 17)]
         assert len(reverse) == 1
         assert reverse[0].kite == (0, 2, 16, 17)
         back = kite_flip(flipped, reverse[0].kite, reverse[0].pair)
-        assert back.registry.pairs() == emb.registry.pairs()
+        assert back.registry == emb.registry
 
     def test_kite_name_may_include_the_dummy(self):
         emb = gen_nested_k5(2).embedding
         site = find_flips(emb)[0]
         flipped = kite_flip(emb, (2, 3, 16, 17, 23), site.pair)
-        assert flipped.registry.pairs()[5] == ((0, 17), (2, 16))
+        assert flipped.registry[5].pair == ((0, 17), (2, 16))
 
     # the dual-analysed optimal and sparsest members and intermediate
     # (12, 1), (12, 2) and (14, 4) have no flip sites
@@ -637,7 +632,8 @@ class TestKiteFlip:
         assert sites
         for site in sites:
             flipped = kite_flip(emb, site.kite, site.pair)
-            reference = embed_with_crossings(emb.base, flipped.registry.pairs())
+            reference = embed_with_crossings(
+                emb.base, [e.pair for e in flipped.registry])
             faces = oriented_faces(flipped)
             assert faces in (oriented_faces(reference),
                              oriented_faces(reference, mirrored=True))
@@ -657,7 +653,7 @@ class TestKiteFlip:
             kite = tuple(sorted(entry.endpoints))
             for link in dual.links:
                 pair = frozenset(
-                    tuple(sorted(dual.faces[f].corners))
+                    tuple(sorted(dual.faces[f]))
                     for f in (link.face_a, link.face_b))
                 try:
                     kite_flip(emb, kite, tuple(pair))
@@ -671,7 +667,7 @@ class TestKiteFlip:
         for site in find_flips(emb):
             forward = kite_flip(emb, site.kite, site.pair)
             backward = kite_flip(emb, site.kite, site.pair[::-1])
-            assert forward.registry.pairs() == backward.registry.pairs()
+            assert forward.registry == backward.registry
 
     def test_precondition_unknown_kite(self):
         with pytest.raises(PreconditionViolated, match="no crossing has"):

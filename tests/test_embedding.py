@@ -14,6 +14,7 @@ from nicplanar.embedding import (
     NicEmbedding,
     embed_with_crossings,
     embedding_from_json,
+    embedding_to_doc,
     embedding_to_json,
     normalize_crossing,
     trace_faces,
@@ -44,9 +45,9 @@ def test_kite_k4_frozen_face_structure():
     faces = trace_faces(emb)
     assert sorted(len(f) for f in faces) == [3, 3, 3, 3, 4]
     triangles = [f for f in faces if len(f) == 3]
-    assert all(4 in f.corner_set() for f in triangles)
+    assert all(4 in f for f in triangles)
     quad = next(f for f in faces if len(f) == 4)
-    assert quad.corner_set() == {0, 1, 2, 3}
+    assert set(quad) == {0, 1, 2, 3}
 
 
 def test_nonspherical_rotation_rejected():
@@ -78,14 +79,12 @@ def plane_embeddings(draw):
         u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2,
                                     max_size=2, unique=True)))
         g = new_graph(n, sorted(edges | {(u, v)}))
-        if planarity_check(g).planar:
+        if planarity_check(g) is not None:
             edges.add((u, v))
     g = new_graph(n, sorted(edges))
-    result = planarity_check(g)
     # a rotation is cyclic: start each one anywhere
     rotations = []
-    for v in range(n):
-        rot = result.rotations[v]
+    for rot in planarity_check(g):
         i = draw(st.integers(0, len(rot) - 1))
         rotations.append(rot[i:] + rot[:i])
     return NicEmbedding(g, [], tuple(rotations))
@@ -120,7 +119,7 @@ def smallest_rotation(seq):
 @settings(max_examples=150, deadline=None)
 @given(plane_embeddings())
 def test_faces_match_reference_and_networkx(emb):
-    faces = [f.corners for f in trace_faces(emb)]
+    faces = list(trace_faces(emb))
     assert faces == reference_faces(emb.rotations)
     # networkx walks the other way round a clockwise rotation
     nx_emb = nx.PlanarEmbedding()
@@ -146,10 +145,8 @@ def test_valid_kite_passes():
 def planarity_embedded(base, crossings):
     """``base`` with ``crossings``, its rotations taken unchecked from a
     planarity test of the planarization."""
-    planarization = NicEmbedding(base, crossings, ()).planarization
-    result = planarity_check(planarization)
-    assert result.planar
-    rotations = tuple(result.rotations[v] for v in range(planarization.n))
+    rotations = planarity_check(NicEmbedding(base, crossings, ()).planarization)
+    assert rotations is not None
     return NicEmbedding(base, crossings, rotations)
 
 
@@ -191,7 +188,8 @@ def test_broken_alternation_detected():
     rotations = list(emb.rotations)
     a, b, c, d = rotations[4]
     rotations[4] = (a, c, b, d)
-    twisted = NicEmbedding(emb.base, emb.registry.pairs(), tuple(rotations))
+    pairs = [e.pair for e in emb.registry]
+    twisted = NicEmbedding(emb.base, pairs, tuple(rotations))
     for _ in range(2):
         report = verify_nic(twisted)
         rules = {v.rule for v in report.violations}
@@ -200,20 +198,33 @@ def test_broken_alternation_detected():
             trace_faces(twisted)
 
 
-@pytest.mark.parametrize("rotations", [
+MISCOUNTED = pytest.mark.parametrize("rotations", [
     (),  # none at all: the dummy's rotation does not exist
+    kite_k4().rotations[:4],  # the dummy's rotation is missing
     kite_k4().rotations + ((),),  # one more than the planarization has
-], ids=["missing", "extra"])
+], ids=["none", "missing", "extra"])
+
+
+@MISCOUNTED
 def test_rotation_count_mismatch_is_reported_not_raised(rotations):
     report = verify_nic(NicEmbedding(complete(4), [((0, 2), (1, 3))], rotations))
     assert [v.rule for v in report.violations] == ["spherical"]
     assert "size differs" in report.violations[0].message
 
 
+@MISCOUNTED
+def test_rotation_count_mismatch_is_no_document(rotations):
+    emb = NicEmbedding(complete(4), [((0, 2), (1, 3))], rotations)
+    for write in (embedding_to_doc, embedding_to_json):
+        with pytest.raises(NonSphericalEmbedding, match="size differs"):
+            write(emb)
+
+
 def test_overlong_dummy_rotation_is_reported_not_raised():
     emb = kite_k4()
     rotations = emb.rotations[:4] + (emb.rotations[4] + (0,),)
-    report = verify_nic(NicEmbedding(emb.base, emb.registry.pairs(), rotations))
+    pairs = [e.pair for e in emb.registry]
+    report = verify_nic(NicEmbedding(emb.base, pairs, rotations))
     assert [v.rule for v in report.violations] == ["spherical"]
 
 

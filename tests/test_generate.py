@@ -39,7 +39,8 @@ def assert_matches_planarity_path(inst):
     # the member lists its own faces; the planarity path on the same edges
     # and crossings must give the same embedding, orientation included
     emb = inst.embedding
-    reference = embed_with_crossings(emb.base, emb.registry.pairs())
+    reference = embed_with_crossings(emb.base,
+                                     [e.pair for e in emb.registry])
     assert embedding_to_json(emb) == embedding_to_json(reference), inst.params
 
 
@@ -174,7 +175,7 @@ class TestNestedCarrierFamily:
         for inst in instances:
             assert inst.graph.edges == base.edges
             assert verify_nic(inst.embedding).ok
-            registries.add(inst.embedding.registry.pairs())
+            registries.add(inst.embedding.registry)
         assert len(registries) == len(instances)
 
     def test_parameter_errors(self):
@@ -266,7 +267,8 @@ class TestFacesMatchPlanarityPath:
         # elsewhere; with the fans deleted, both embeddings are the
         # k = 2 drum's, orientation included
         emb = gen_rac_counterexample().embedding
-        reference = embed_with_crossings(emb.base, emb.registry.pairs())
+        reference = embed_with_crossings(emb.base,
+                                         [e.pair for e in emb.registry])
         drum = gen_optimal(2).embedding
         n = drum.base.n
         shift = emb.base.n - n
@@ -278,7 +280,8 @@ class TestFacesMatchPlanarityPath:
                       for w in e.rotations[v] if w < n or e.is_dummy(w))
                 for v in kept)
             return embedding_to_json(
-                NicEmbedding(drum.base, e.registry.pairs(), rotations))
+                NicEmbedding(drum.base, [entry.pair for entry in e.registry],
+                             rotations))
 
         assert (without_fans(emb) == without_fans(reference)
                 == embedding_to_json(drum))
@@ -328,7 +331,7 @@ class TestGadgetTransform:
         emb = np_gadget_embedding(base, [((0, 1), (2, 3))])
         assert verify_nic(emb).ok
         _, designated = np_gadget_transform(base)
-        (entry,) = emb.registry.entries
+        (entry,) = emb.registry
         assert {entry.first, entry.second} == {
             designated[(0, 1)], designated[(2, 3)]}
         # frozen ids: the gadget for (0,1) starts at 5, (2,3) is the 8th edge

@@ -56,14 +56,14 @@ class TestMaximalVariant:
     def test_k4_has_exactly_the_two_embeddings(self):
         res = oracle_maximal_nic(complete_graph(4))
         assert res.feasible
-        assert [ks.quads for ks in res.kite_sets] == [(), ((0, 1, 2, 3),)]
+        assert list(res.kite_sets) == [(), ((0, 1, 2, 3),)]
         assert res.examined == 2
 
     def test_k5_has_five_single_kite_sets(self):
         # any two K4s of K5 share three vertices, so no pair fits, and
         # the empty set fails because K5 itself is not planar
         res = oracle_maximal_nic(complete_graph(5))
-        assert [ks.quads for ks in res.kite_sets] == [
+        assert list(res.kite_sets) == [
             ((0, 1, 2, 3),), ((0, 1, 2, 4),), ((0, 1, 3, 4),),
             ((0, 2, 3, 4),), ((1, 2, 3, 4),)]
 
@@ -74,7 +74,7 @@ class TestMaximalVariant:
 
     def test_flip_fixture_kites(self):
         res = oracle_maximal_nic(new_graph(6, FLIP_FIXTURE_EDGES))
-        assert [ks.quads for ks in res.kite_sets] == [
+        assert list(res.kite_sets) == [
             (((0, 1, 2, 3),)), ((0, 2, 3, 4),), ((1, 2, 3, 5),),
             ((2, 3, 4, 5),)]
 
@@ -103,7 +103,7 @@ class TestOptimalVariant:
         rec = recognize_optimal(g)
         assert res.feasible
         assert len(res.kite_sets) == 1
-        assert res.kite_sets[0].quads == tuple(sorted(rec.kites))
+        assert res.kite_sets[0] == tuple(sorted(rec.kites))
         assert res.examined == 1
 
     def test_collapse_failure_matches_recognizer(self):
@@ -139,7 +139,7 @@ class TestSearchControls:
             oracle_maximal_nic(ring)
         res = oracle_maximal_nic(ring, limit=13)
         assert res.feasible  # a cycle is planar with no kites at all
-        assert [ks.quads for ks in res.kite_sets] == [()]
+        assert list(res.kite_sets) == [()]
 
     @pytest.mark.parametrize("make, optimal", [
         (lambda: complete_graph(4), False),
@@ -170,4 +170,4 @@ class TestSoundness:
         for kites in res.kite_sets:
             emb = embed_from_star_graph(g, kites)
             assert emb is not None and verify_nic(emb).ok
-            assert len(emb.registry) == len(kites.quads)
+            assert len(emb.registry) == len(kites)

@@ -86,7 +86,8 @@ def stage_times(data: bytes) -> dict[str, float]:
     out["bucket_by_edge"], _ = _timed(bucket_by_edge, catalog)
     out["recognize_optimal"], res = _timed(recognize_optimal, g)
     out["embed_from_kites"], emb = _timed(embed_from_kites, g, res.kites)
-    pairs, rotations = emb.registry.pairs(), emb.rotations
+    pairs = [entry.pair for entry in emb.registry]
+    rotations = emb.rotations
     out["NicEmbedding"], fresh = _timed(NicEmbedding, g, pairs, rotations)
     out["verify_nic"], report = _timed(verify_nic, fresh)
     if not report.ok:
